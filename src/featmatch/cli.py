@@ -36,11 +36,10 @@ from .model import (
     validate_matching,
 )
 from .oracle import BudgetExceededError, DEFAULT_BUDGET, audit_ic, optimal_pros
-from .prob import potential_blockers, pros_exact, pros_monte_carlo, stability_interval
+from .prob import DEFAULT_SAMPLES, potential_blockers, pros_exact, pros_monte_carlo, stability_interval
 from .svg import render_box_plot
 
 DEFAULT_SEED = 42
-DEFAULT_SAMPLES = 100_000
 
 
 def _load_instance(path: str):

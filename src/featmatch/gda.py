@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from functools import cmp_to_key
 from typing import Union
 
 from .model import Instance, Matching, ValidationError
@@ -52,21 +50,17 @@ def comparison_vector(inst: Instance, s: int, c: int, pool, samples: int = DEFAU
     return tuple(sorted(probs))
 
 
-def _lex_argmax(vectors: dict[int, ComparisonVector]) -> int:
-    """College with the lexicographically largest vector, ties to lowest index."""
-    best = None
-    for c in sorted(vectors):
-        if best is None or vectors[c] > vectors[best]:
-            best = c
-    return best
+def _argmax(scores: dict) -> int:
+    """College with the largest score (scalar or comparison vector), ties to
+    the lowest index."""
+    return max(sorted(scores), key=scores.__getitem__)
 
 
-def _argmax_scalar(scores: dict[int, Union[Fraction, float]]) -> int:
-    best = None
-    for c in sorted(scores):
-        if best is None or scores[c] > scores[best]:
-            best = c
-    return best
+def _locv_order(inst: Instance, s: int, samples: int, seed) -> list[int]:
+    """All colleges by comparison vector over the full set, lexicographically
+    largest first; a stable sort keeps ties at the lowest index."""
+    full = [comparison_vector(inst, s, c, range(inst.m), samples, seed) for c in range(inst.m)]
+    return sorted(range(inst.m), key=full.__getitem__, reverse=True)
 
 
 def next_college(
@@ -83,20 +77,13 @@ def next_college(
         raise ValidationError("every college has already rejected this student")
     strategy = Strategy(strategy)
     if strategy is Strategy.HEUF:
-        return _argmax_scalar({c: expected_utility(inst, s, c) for c in remaining})
+        return _argmax({c: expected_utility(inst, s, c) for c in remaining})
     if strategy is Strategy.LOCV:
-        # fixed order from comparison vectors over all colleges
-        full = {c: comparison_vector(inst, s, c, range(inst.m), samples, seed) for c in range(inst.m)}
-        order = sorted(full, key=cmp_to_key(lambda a, b: -1 if full[a] > full[b] else (1 if full[a] < full[b] else a - b)))
-        for c in order:
-            if c not in rejected:
-                return c
-        raise AssertionError("unreachable: remaining is nonempty")
+        return next(c for c in _locv_order(inst, s, samples, seed) if c not in rejected)
     if strategy is Strategy.LOICV:
-        vectors = {c: comparison_vector(inst, s, c, remaining, samples, seed) for c in remaining}
-        return _lex_argmax(vectors)
+        return _argmax({c: comparison_vector(inst, s, c, remaining, samples, seed) for c in remaining})
     if strategy is Strategy.HERF:
-        return _argmax_scalar({c: pr_top(inst, s, c, remaining, samples, seed) for c in remaining})
+        return _argmax({c: pr_top(inst, s, c, remaining, samples, seed) for c in remaining})
     raise ValidationError(f"unknown strategy: {strategy!r}")
 
 
@@ -124,14 +111,9 @@ def run_gda(
     held: list[set[int]] = [set() for _ in range(inst.m)]
     rejected: list[set[int]] = [set() for _ in range(inst.n)]
     unmatched = set(range(inst.n))
-    locv_order: dict[int, list[int]] = {}
-
-    if strategy is Strategy.LOCV:
-        for s in range(inst.n):
-            full = {c: comparison_vector(inst, s, c, range(inst.m), samples, seed) for c in range(inst.m)}
-            locv_order[s] = sorted(
-                full, key=cmp_to_key(lambda a, b: -1 if full[a] > full[b] else (1 if full[a] < full[b] else a - b))
-            )
+    locv_order = (
+        {s: _locv_order(inst, s, samples, seed) for s in range(inst.n)} if strategy is Strategy.LOCV else {}
+    )
 
     rounds: list[GdaRound] = []
     while True:

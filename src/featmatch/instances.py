@@ -401,18 +401,10 @@ def reduce_to_uniform(inst: Instance, s: int) -> TransformResult:
     dist = inst.weight_dists[s]
     if isinstance(dist, DiscreteWeights):
         raise ValidationError("distribution not continuous")
-    if isinstance(dist, UniformSimplex):
-        a: Union[Fraction, float] = F(1, 2)
-    elif isinstance(dist, BetaWeights):
-        if dist.alpha == dist.beta:
-            a = F(1, 2)
-        else:
-            mw = mean_weight(inst, s)
-            if abs(float(mw.below) - 0.5) > 1e-12:
-                raise ValidationError("mean must equal the median of the first feature's weight")
-            a = 1.0 - dist.alpha / (dist.alpha + dist.beta)
-    else:
-        raise TypeError(f"unknown distribution: {dist!r}")
+    mw = mean_weight(inst, s)
+    if abs(float(mw.below) - 0.5) > 1e-12:
+        raise ValidationError("mean must equal the median of the first feature's weight")
+    a: Union[Fraction, float] = 1 - mw.mean[0]
 
     scale1, scale2 = 2 * (1 - a), 2 * a
     if isinstance(a, float):

@@ -15,12 +15,14 @@ external string ids are mapped at parse time.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Union
 
 import numpy as np
+from scipy.special import betainc
 
 __all__ = [
     "ModelError",
@@ -96,7 +98,13 @@ def format_rational(q: Fraction) -> str:
 # weight distributions
 # ---------------------------------------------------------------------------
 
-_SUPPORT_TOL = Fraction(1, 10**9)
+# Each kind owns its math.  ``mean`` is the componentwise weight expectation;
+# ``expected(values)`` is E[sum_f w_f * values[f]]; ``w1_measure(lo, hi,
+# open_lo, open_hi)`` is the probability that the first feature's weight lies
+# between lo and hi (two features only, ends in [0, 1], each end closed unless
+# its flag is set); ``sample(k, rng)`` draws k weight vectors as a (k, dim)
+# float array; ``to_dict`` is the JSON form.  Uniform and discrete results are
+# exact Fractions, beta results are floats.
 
 
 @dataclass(frozen=True)
@@ -109,10 +117,33 @@ class UniformSimplex:
         if self.dim < 1:
             raise ValidationError("distribution dimension mismatch: dim must be >= 1")
 
+    @property
+    def mean(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(1, self.dim) for _ in range(self.dim))
+
+    def expected(self, values) -> Fraction:
+        return sum(values) / Fraction(self.dim)
+
+    def w1_measure(self, lo, hi, open_lo: bool = False, open_hi: bool = False) -> Fraction:
+        # w_f1 is uniform on [0, 1], so the open/closed choice has measure zero
+        return hi - lo if lo <= hi else Fraction(0)
+
+    def sample(self, k: int, rng: np.random.Generator) -> np.ndarray:
+        # normalized exponentials; the two-feature case draws w_f1 directly
+        if self.dim == 2:
+            w1 = rng.random(k)
+            return np.column_stack([w1, 1.0 - w1])
+        e = rng.exponential(1.0, size=(k, self.dim))
+        return e / e.sum(axis=1, keepdims=True)
+
+    def to_dict(self) -> dict:
+        return {"type": "uniform_simplex"}
+
 
 @dataclass(frozen=True)
 class DiscreteWeights:
-    """Finite support over weight vectors; probabilities are exact rationals."""
+    """Finite support over weight vectors; probabilities are exact rationals.
+    Every support vector lies exactly on the simplex."""
 
     atoms: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
 
@@ -129,7 +160,7 @@ class DiscreteWeights:
             total += p
             if any(x < 0 for x in w):
                 raise ValidationError(f"support vector has a negative weight: {w}")
-            if abs(sum(w) - 1) > _SUPPORT_TOL:
+            if sum(w) != 1:
                 raise ValidationError(f"support vector does not sum to 1: {w}")
         if total != 1:
             raise ValidationError("probabilities must sum to 1")
@@ -137,6 +168,37 @@ class DiscreteWeights:
     @property
     def dim(self) -> int:
         return len(self.atoms[0][0])
+
+    @property
+    def mean(self) -> tuple[Fraction, ...]:
+        return tuple(sum((p * w[f] for w, p in self.atoms), Fraction(0)) for f in range(self.dim))
+
+    def expected(self, values) -> Fraction:
+        return sum((p * sum(x * v for x, v in zip(w, values)) for w, p in self.atoms), Fraction(0))
+
+    def w1_measure(self, lo, hi, open_lo: bool = False, open_hi: bool = False) -> Fraction:
+        return sum(
+            (
+                p
+                for w, p in self.atoms
+                if (lo < w[0] if open_lo else lo <= w[0]) and (w[0] < hi if open_hi else w[0] <= hi)
+            ),
+            Fraction(0),
+        )
+
+    def sample(self, k: int, rng: np.random.Generator) -> np.ndarray:
+        probs = np.array([float(p) for _, p in self.atoms])
+        probs /= probs.sum()
+        support = np.array([[float(x) for x in w] for w, _ in self.atoms])
+        return support[rng.choice(len(self.atoms), size=k, p=probs)]
+
+    def to_dict(self) -> dict:
+        return {
+            "type": "discrete",
+            "support": [
+                {"w": [format_rational(x) for x in w], "p": format_rational(p)} for w, p in self.atoms
+            ],
+        }
 
 
 @dataclass(frozen=True)
@@ -147,12 +209,39 @@ class BetaWeights:
     beta: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise ValidationError("beta2 shape parameters must be finite")
         if not (self.alpha > 0 and self.beta > 0):
             raise ValidationError("beta2 shape parameters must be positive")
 
     @property
     def dim(self) -> int:
         return 2
+
+    @property
+    def mean(self) -> tuple[float, float]:
+        m1 = self.alpha / (self.alpha + self.beta)
+        return (m1, 1.0 - m1)
+
+    def expected(self, values) -> float:
+        m1, m2 = self.mean
+        return m1 * float(values[0]) + m2 * float(values[1])
+
+    def w1_measure(self, lo, hi, open_lo: bool = False, open_hi: bool = False) -> float:
+        # continuous, so the open/closed choice has measure zero
+        if lo > hi:
+            return 0.0
+        return max(0.0, self._cdf(hi) - self._cdf(lo))
+
+    def _cdf(self, x) -> float:
+        return float(betainc(self.alpha, self.beta, float(x)))
+
+    def sample(self, k: int, rng: np.random.Generator) -> np.ndarray:
+        w1 = rng.beta(self.alpha, self.beta, size=k)
+        return np.column_stack([w1, 1.0 - w1])
+
+    def to_dict(self) -> dict:
+        return {"type": "beta2", "alpha": self.alpha, "beta": self.beta}
 
 
 WeightDistribution = Union[UniformSimplex, DiscreteWeights, BetaWeights]
@@ -214,8 +303,6 @@ class Instance:
                     f"distribution dimension mismatch: student {self.students[s]} has dim "
                     f"{dist.dim}, instance has {k} features"
                 )
-            if isinstance(dist, BetaWeights) and k != 2:
-                raise ValidationError("distribution dimension mismatch: beta2 requires exactly 2 features")
 
     @property
     def n(self) -> int:
@@ -395,27 +482,20 @@ def _dist_from_dict(doc, num_features: int, sid: str) -> WeightDistribution:
             raise ParseError(f"malformed document: bad discrete support for {sid!r}") from exc
         return DiscreteWeights(atoms)
     if kind == "beta2":
-        try:
-            return BetaWeights(alpha=float(doc["alpha"]), beta=float(doc["beta"]))
-        except KeyError as exc:
-            raise ParseError(f"malformed document: beta2 needs alpha and beta for {sid!r}") from exc
+        if "alpha" not in doc or "beta" not in doc:
+            raise ParseError(f"malformed document: beta2 needs alpha and beta for {sid!r}")
+        return BetaWeights(alpha=_parse_shape(doc["alpha"], sid), beta=_parse_shape(doc["beta"], sid))
     raise ParseError(f"malformed document: unknown distribution type {kind!r}")
 
 
-def _dist_to_dict(dist: WeightDistribution):
-    if isinstance(dist, UniformSimplex):
-        return {"type": "uniform_simplex"}
-    if isinstance(dist, DiscreteWeights):
-        return {
-            "type": "discrete",
-            "support": [
-                {"w": [format_rational(x) for x in w], "p": format_rational(p)}
-                for w, p in dist.atoms
-            ],
-        }
-    if isinstance(dist, BetaWeights):
-        return {"type": "beta2", "alpha": dist.alpha, "beta": dist.beta}
-    raise ModelError(f"unknown distribution object: {dist!r}")
+def _parse_shape(value, sid: str) -> float:
+    """A beta2 shape parameter: a JSON number or a numeric string."""
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except (ValueError, OverflowError):
+            pass
+    raise ParseError(f"malformed document: bad beta2 shape parameter {value!r} for {sid!r}")
 
 
 def instance_from_dict(doc: Mapping) -> Instance:
@@ -507,7 +587,7 @@ def instance_to_dict(inst: Instance) -> dict:
             }
             for i, s in enumerate(inst.students)
         },
-        "weight_dists": {s: _dist_to_dict(inst.weight_dists[i]) for i, s in enumerate(inst.students)},
+        "weight_dists": {s: inst.weight_dists[i].to_dict() for i, s in enumerate(inst.students)},
     }
 
 

@@ -19,17 +19,14 @@ from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 import numpy as np
-from scipy.special import betainc
 
-from . import _mc
 from .model import (
-    BetaWeights,
     DiscreteWeights,
     Instance,
     Matching,
     ProsResult,
-    UniformSimplex,
     ValidationError,
+    WeightDistribution,
 )
 
 __all__ = [
@@ -142,60 +139,14 @@ def pairwise_case_2f(inst: Instance, s: int, ci: int, cj: int) -> PairwiseCase:
     )
 
 
-# ---------------------------------------------------------------------------
-# first-feature weight measure, per distribution kind (|F| = 2)
-# ---------------------------------------------------------------------------
-
-
-def _w1_gt(dist, eta: Fraction) -> Prob:
-    """Pr[w_f1 > eta], strictly."""
-    if isinstance(dist, UniformSimplex):
-        return max(Fraction(0), min(Fraction(1), 1 - eta))
-    if isinstance(dist, BetaWeights):
-        return 1.0 - float(betainc(dist.alpha, dist.beta, float(eta)))
-    if isinstance(dist, DiscreteWeights):
-        return sum((p for w, p in dist.atoms if w[0] > eta), Fraction(0))
-    raise TypeError(f"unknown distribution: {dist!r}")
-
-
-def _w1_lt(dist, eta: Fraction) -> Prob:
-    """Pr[w_f1 < eta], strictly."""
-    if isinstance(dist, UniformSimplex):
-        return max(Fraction(0), min(Fraction(1), Fraction(eta)))
-    if isinstance(dist, BetaWeights):
-        return float(betainc(dist.alpha, dist.beta, float(eta)))
-    if isinstance(dist, DiscreteWeights):
-        return sum((p for w, p in dist.atoms if w[0] < eta), Fraction(0))
-    raise TypeError(f"unknown distribution: {dist!r}")
-
-
-def _w1_interval(dist, lo: Fraction, hi: Fraction) -> Prob:
-    """Pr[lo <= w_f1 <= hi], closed on both ends."""
-    if lo > hi:
-        return Fraction(0)
-    if isinstance(dist, UniformSimplex):
-        return max(Fraction(0), min(Fraction(1), hi) - max(Fraction(0), lo))
-    if isinstance(dist, BetaWeights):
-        return max(
-            0.0,
-            float(
-                betainc(dist.alpha, dist.beta, float(min(hi, 1)))
-                - betainc(dist.alpha, dist.beta, float(max(lo, 0)))
-            ),
-        )
-    if isinstance(dist, DiscreteWeights):
-        return sum((p for w, p in dist.atoms if lo <= w[0] <= hi), Fraction(0))
-    raise TypeError(f"unknown distribution: {dist!r}")
-
-
-def _case_prob(dist, case: PairwiseCase) -> Prob:
+def _case_prob(dist: WeightDistribution, case: PairwiseCase) -> Prob:
     if case.tag == ALWAYS:
         return Fraction(1)
     if case.tag == NEVER:
         return Fraction(0)
     if case.tag == THRESHOLD_ABOVE:
-        return _w1_gt(dist, case.eta)
-    return _w1_lt(dist, case.eta)
+        return dist.w1_measure(case.eta, 1, open_lo=True)
+    return dist.w1_measure(0, case.eta, open_hi=True)
 
 
 # ---------------------------------------------------------------------------
@@ -203,29 +154,31 @@ def _case_prob(dist, case: PairwiseCase) -> Prob:
 # ---------------------------------------------------------------------------
 
 
-def sample_weights(dist, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw k weight vectors, shape (k, dim).  Flat simplex density uses
-    normalized exponentials; the two-feature case draws w_f1 directly."""
-    if isinstance(dist, UniformSimplex):
-        if dist.dim == 2:
-            w1 = rng.random(k)
-            return np.column_stack([w1, 1.0 - w1])
-        e = rng.exponential(1.0, size=(k, dist.dim))
-        return e / e.sum(axis=1, keepdims=True)
-    if isinstance(dist, BetaWeights):
-        w1 = rng.beta(dist.alpha, dist.beta, size=k)
-        return np.column_stack([w1, 1.0 - w1])
-    if isinstance(dist, DiscreteWeights):
-        probs = np.array([float(p) for _, p in dist.atoms])
-        probs /= probs.sum()
-        support = np.array([[float(x) for x in w] for w, _ in dist.atoms])
-        idx = rng.choice(len(dist.atoms), size=k, p=probs)
-        return support[idx]
-    raise TypeError(f"unknown distribution: {dist!r}")
+def sample_weights(dist: WeightDistribution, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw k weight vectors, shape (k, dim)."""
+    return dist.sample(k, rng)
 
 
 def _student_rng(seed: int, s: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(s,)))
+
+
+# Monte Carlo kernels over per-sample weighted scores, shape (samples, colleges)
+
+
+def _noblock_fraction(scores: np.ndarray, match: int, cand) -> float:
+    """Fraction of samples where no candidate college strictly beats the match."""
+    return float(1.0 - (scores[:, cand] > scores[:, match][:, None]).any(axis=1).mean())
+
+
+def _strict_fraction(scores: np.ndarray, i: int, j: int) -> float:
+    """Fraction of samples where college i scores strictly above college j."""
+    return float((scores[:, i] > scores[:, j]).mean())
+
+
+def _top_fraction(scores: np.ndarray, c: int, pool) -> float:
+    """Fraction of samples where college c weakly beats every pool member."""
+    return float((scores[:, c][:, None] >= scores[:, pool]).all(axis=1).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +217,8 @@ def _mc_pair(inst: Instance, s: int, ci: int, cj: int, strict: bool, samples: in
     w = sample_weights(inst.weight_dists[s], samples, rng)
     scores = w @ inst.utilities_f64[s]
     if strict:
-        return _mc.strict_fraction(scores, ci, cj)
-    return 1.0 - _mc.strict_fraction(scores, cj, ci)
+        return _strict_fraction(scores, ci, cj)
+    return 1.0 - _strict_fraction(scores, cj, ci)
 
 
 def pr_prefers(
@@ -335,19 +288,19 @@ def pr_top(
         for d in rivals:
             case = pairwise_case_2f(inst, s, d, c)  # rival beats c strictly when...
             if case.tag == ALWAYS:
-                return Fraction(0) if isinstance(dist, UniformSimplex) else 0.0
+                return dist.w1_measure(1, 0)  # an empty window: the distribution's zero
             if case.tag == THRESHOLD_ABOVE:
                 hi = min(hi, case.eta)
             elif case.tag == THRESHOLD_BELOW:
                 lo = max(lo, case.eta)
-        return _w1_interval(dist, lo, hi)
+        return dist.w1_measure(lo, hi)
 
     if seed is None:
         raise ValidationError("Monte Carlo path requires an explicit seed")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(s, c, 104729)))
     w = sample_weights(dist, samples, rng)
     scores = w @ inst.utilities_f64[s]
-    return _mc.top_fraction(scores, c, np.array(rivals, dtype=np.int64))
+    return _top_fraction(scores, c, rivals)
 
 
 # ---------------------------------------------------------------------------
@@ -357,19 +310,7 @@ def pr_top(
 
 def expected_utility(inst: Instance, s: int, c: int) -> Prob:
     """E over the weight distribution of the weighted utility of college c."""
-    dist = inst.weight_dists[s]
-    k = inst.num_features
-    if isinstance(dist, UniformSimplex):
-        return sum(inst.utility(s, f, c) for f in range(k)) / Fraction(k)
-    if isinstance(dist, DiscreteWeights):
-        return sum(
-            (p * sum(w[f] * inst.utility(s, f, c) for f in range(k)) for w, p in dist.atoms),
-            Fraction(0),
-        )
-    if isinstance(dist, BetaWeights):
-        mean = dist.alpha / (dist.alpha + dist.beta)
-        return mean * float(inst.utility(s, 0, c)) + (1.0 - mean) * float(inst.utility(s, 1, c))
-    raise TypeError(f"unknown distribution: {dist!r}")
+    return inst.weight_dists[s].expected([row[c] for row in inst.utilities[s]])
 
 
 @dataclass(frozen=True)
@@ -384,30 +325,10 @@ class MeanWeight:
 
 def mean_weight(inst: Instance, s: int) -> MeanWeight:
     dist = inst.weight_dists[s]
-    k = inst.num_features
-    if isinstance(dist, UniformSimplex):
-        mean = tuple(Fraction(1, k) for _ in range(k))
-    elif isinstance(dist, DiscreteWeights):
-        mean = tuple(
-            sum((p * w[f] for w, p in dist.atoms), Fraction(0)) for f in range(k)
-        )
-    elif isinstance(dist, BetaWeights):
-        m1 = dist.alpha / (dist.alpha + dist.beta)
-        mean = (m1, 1.0 - m1)
-    else:
-        raise TypeError(f"unknown distribution: {dist!r}")
-    if k != 2:
+    mean = dist.mean
+    if inst.num_features != 2:
         return MeanWeight(mean, None, None)
-    m1 = mean[0]
-    if isinstance(dist, UniformSimplex):
-        below = above = Fraction(1, 2)
-    elif isinstance(dist, BetaWeights):
-        below = float(betainc(dist.alpha, dist.beta, float(m1)))
-        above = 1.0 - below
-    else:
-        below = sum((p for w, p in dist.atoms if w[0] <= m1), Fraction(0))
-        above = sum((p for w, p in dist.atoms if w[0] >= m1), Fraction(0))
-    return MeanWeight(mean, below, above)
+    return MeanWeight(mean, dist.w1_measure(0, mean[0]), dist.w1_measure(mean[0], 1))
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +384,7 @@ def _student_noblock_2f(inst: Instance, matching: Matching, s: int) -> Prob:
     window = stability_interval(inst, matching, s)
     if window is None or window.empty:
         return Fraction(0)
-    return _w1_interval(dist, window.lower, window.upper)
+    return dist.w1_measure(window.lower, window.upper)
 
 
 def pros_exact_2f(inst: Instance, matching: Matching) -> ProsResult:
@@ -536,9 +457,7 @@ def pros_monte_carlo(inst: Instance, matching: Matching, samples: int, seed: int
         rng = _student_rng(seed, s)
         w = sample_weights(inst.weight_dists[s], samples, rng)
         scores = w @ inst.utilities_f64[s]
-        fractions.append(
-            _mc.noblock_fraction(scores, match, np.array(candidates, dtype=np.int64))
-        )
+        fractions.append(_noblock_fraction(scores, match, candidates))
     value = float(np.prod(fractions))
     # Var(prod X_s) = prod(var_s + mean_s^2) - prod(mean_s^2), plug-in estimates
     second = 1.0

@@ -90,6 +90,11 @@ def test_exit_codes(tmp_path, ex1_path, capsys):
     assert main(["solve", str(bad), "--strategy", "locv"]) == 2
     assert main(["solve", str(tmp_path / "missing.json"), "--strategy", "locv"]) == 2
     assert main(["optimal", ex1_path, "--budget", "3"]) == 3
+    doc = json.loads((tmp_path / "ex1.json").read_text())
+    for alpha in ("abc", "1e400"):
+        doc["weight_dists"]["s1"] = {"type": "beta2", "alpha": alpha, "beta": 2}
+        bad.write_text(json.dumps(doc))
+        assert main(["solve", str(bad), "--strategy", "locv"]) == 2
 
 
 def test_experiment_determinism_and_schema(tmp_path, capsys):

@@ -120,9 +120,27 @@ def test_malformed_documents():
 def test_distribution_invariants():
     with pytest.raises(ValidationError):
         DiscreteWeights((((F(1, 2), F(1, 4)), F(1)),))  # support not on the simplex
+    with pytest.raises(ValidationError, match="does not sum to 1"):
+        DiscreteWeights((((F(1, 2), F(1, 2) + F(1, 10**10)), F(1)),))  # support must sum to exactly 1
     with pytest.raises(ValidationError):
         BetaWeights(alpha=0.0, beta=2.0)
+    with pytest.raises(ValidationError, match="finite"):
+        BetaWeights(alpha=float("inf"), beta=2.0)
     assert UniformSimplex(3).dim == 3
+
+
+@pytest.mark.parametrize(
+    "alpha, error",
+    [("abc", ParseError), (None, ParseError), ([1], ParseError), (True, ParseError),
+     ("1e400", ValidationError), (float("nan"), ValidationError)],
+)
+def test_beta2_shape_parameters_are_checked(alpha, error):
+    doc = json.loads(json.dumps(EX1_JSON))
+    doc["weight_dists"]["s1"] = {"type": "beta2", "alpha": alpha, "beta": 2}
+    with pytest.raises(error):
+        parse_instance(json.dumps(doc))
+    doc["weight_dists"]["s1"] = {"type": "beta2", "alpha": "2.5", "beta": 2}
+    assert parse_instance(json.dumps(doc)).weight_dists[0] == BetaWeights(2.5, 2.0)
 
 
 @settings(max_examples=40, deadline=None)

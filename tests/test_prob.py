@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from featmatch import prob
 from featmatch.model import BetaWeights, DiscreteWeights, Instance, Matching, ValidationError
 from featmatch.prob import (
     ALWAYS,
@@ -467,3 +468,13 @@ def test_mc_rejects_zero_samples():
     ex1 = worked_example(1)
     with pytest.raises(ValidationError):
         pros_monte_carlo(ex1, Matching((None, None, None)), samples=0, seed=1)
+
+
+def test_kernel_reference_values():
+    scores = np.array([[1.0, 2.0, 0.5], [3.0, 1.0, 0.5], [0.5, 0.5, 0.5]])
+    cand = np.array([1, 2])
+    # rows where neither candidate beats college 0: rows 1 and 2
+    assert prob._noblock_fraction(scores, 0, cand) == pytest.approx(2 / 3)
+    assert prob._noblock_fraction(scores, 0, np.array([], dtype=np.int64)) == 1.0
+    assert prob._strict_fraction(scores, 0, 1) == pytest.approx(1 / 3)
+    assert prob._top_fraction(scores, 0, cand) == pytest.approx(2 / 3)
