@@ -16,11 +16,8 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-
-import numpy as np
 
 from .gda import Strategy, run_gda
 from .goldens import run_goldens
@@ -35,11 +32,11 @@ from .model import (
     serialize_instance,
     validate_matching,
 )
-from .oracle import BudgetExceededError, DEFAULT_BUDGET, audit_ic, optimal_pros
+from .oracle import (
+    DEFAULT_BUDGET, DEFAULT_SEED, BudgetExceededError, ExperimentConfig, audit_ic, optimal_pros, run_experiment
+)
 from .prob import DEFAULT_SAMPLES, potential_blockers, pros_exact, pros_monte_carlo, stability_interval
 from .svg import render_box_plot
-
-DEFAULT_SEED = 42
 
 
 def _load_instance(path: str):
@@ -240,16 +237,6 @@ def _cmd_audit_ic(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    trials: int = 500
-    sizes: tuple[int, ...] = (3, 4)
-    capacities: str = "ones"  # ones | spread
-    strategies: tuple[Strategy, ...] = tuple(Strategy)
-    seed: int = DEFAULT_SEED
-    budget: int = DEFAULT_BUDGET
-
-
 CSV_FIELDS = [
     "trial",
     "seed",
@@ -263,44 +250,6 @@ CSV_FIELDS = [
     "optimal_pros_exact",
     "ratio_exact",
 ]
-
-
-def _trial_seed(master: int, size: int, trial: int) -> int:
-    ss = np.random.SeedSequence(entropy=master, spawn_key=(size, trial))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
-def run_experiment(config: ExperimentConfig) -> list[dict]:
-    """One row per (size, trial, strategy); deterministic in config.seed.
-    Trials draw their generator seed from (master seed, size, trial index),
-    so any parallel split over trials would reproduce the serial result."""
-    rows = []
-    for size in config.sizes:
-        for trial in range(config.trials):
-            seed = _trial_seed(config.seed, size, trial)
-            inst = gen_random(size, size, capacities=config.capacities, num_features=2, seed=seed)
-            opt = optimal_pros(inst, budget=config.budget)
-            opt_val = opt.best_pros.value
-            for strategy in config.strategies:
-                matching, _ = run_gda(inst, strategy)
-                alg_val = pros_exact(inst, matching).value
-                ratio = Fraction(1) if opt_val == 0 else alg_val / opt_val
-                rows.append(
-                    {
-                        "trial": trial,
-                        "seed": seed,
-                        "n": size,
-                        "m": size,
-                        "strategy": strategy.value,
-                        "algorithm_pros": f"{float(alg_val):.12g}",
-                        "optimal_pros": f"{float(opt_val):.12g}",
-                        "ratio": f"{float(ratio):.12g}",
-                        "algorithm_pros_exact": format_rational(alg_val),
-                        "optimal_pros_exact": format_rational(opt_val),
-                        "ratio_exact": format_rational(ratio),
-                    }
-                )
-    return rows
 
 
 def experiment_csv(rows: list[dict]) -> str:

@@ -10,7 +10,7 @@ certain).  Decimal constants are exact rationals throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Union
 
@@ -420,15 +420,4 @@ def reduce_to_uniform(inst: Instance, s: int) -> TransformResult:
     utilities[s] = tuple(new_rows)
     dists = list(inst.weight_dists)
     dists[s] = UniformSimplex(2)
-    return TransformResult(
-        instance=Instance(
-            students=inst.students,
-            colleges=inst.colleges,
-            capacities=inst.capacities,
-            college_prefs=inst.college_prefs,
-            features=inst.features,
-            utilities=tuple(utilities),
-            weight_dists=tuple(dists),
-        ),
-        a=a,
-    )
+    return TransformResult(replace(inst, utilities=tuple(utilities), weight_dists=tuple(dists)), a)

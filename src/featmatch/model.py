@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Union
@@ -79,6 +79,8 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ParseError(f"malformed document: non-finite number {value!r}")
         return Fraction(repr(value))
     if isinstance(value, str):
         try:
@@ -259,7 +261,8 @@ class Instance:
     ``utilities[s][f][c]`` is student ``s``'s utility for college ``c`` on
     feature ``f`` (all dense indices).  ``college_prefs[c]`` lists student
     indices from most to least preferred and must be a permutation of all
-    students.  Immutable after construction; safe to share across workers.
+    students.  The fields are immutable after construction; ``pair_facts``
+    fills in lazily and is a pure function of them, so sharing is safe.
     """
 
     students: tuple[str, ...]
@@ -274,8 +277,8 @@ class Instance:
         n, m, k = len(self.students), len(self.colleges), len(self.features)
         if n == 0 or m == 0 or k == 0:
             raise ValidationError("instance needs at least one student, college and feature")
-        if len(set(self.students)) != n or len(set(self.colleges)) != m:
-            raise ValidationError("duplicate student or college ids")
+        if len(set(self.students)) != n or len(set(self.colleges)) != m or len(set(self.features)) != k:
+            raise ValidationError("duplicate student, college or feature ids")
         if len(self.capacities) != m or len(self.college_prefs) != m:
             raise ValidationError("capacities/preferences must cover every college")
         for cap in self.capacities:
@@ -334,6 +337,22 @@ class Instance:
             [[[float(u) for u in row] for row in per_feature] for per_feature in self.utilities],
             dtype=np.float64,
         )
+
+    @cached_property
+    def pair_facts(self) -> list:
+        """Per-student slots for ``prob``'s pairwise-fact tables; None until built."""
+        return [None] * self.n
+
+    def with_report(self, s: int, rows) -> "Instance":
+        """This instance with student s's utility table replaced by ``rows``
+        (one row per feature).  Every other student's pairwise facts carry
+        over: they depend only on her own utilities and weights."""
+        utilities = list(self.utilities)
+        utilities[s] = tuple(tuple(row) for row in rows)
+        out = replace(self, utilities=tuple(utilities))
+        out.pair_facts[:] = self.pair_facts
+        out.pair_facts[s] = None
+        return out
 
     def student_index(self, sid: str) -> int:
         try:
@@ -498,16 +517,22 @@ def _parse_shape(value, sid: str) -> float:
     raise ParseError(f"malformed document: bad beta2 shape parameter {value!r} for {sid!r}")
 
 
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ParseError(f"malformed document: {where} must be an object")
+    return value
+
+
 def instance_from_dict(doc: Mapping) -> Instance:
     """Build and validate an Instance from the JSON document structure."""
     try:
         students = tuple(str(s) for s in doc["students"])
         colleges = tuple(str(c) for c in doc["colleges"])
         features = tuple(str(f) for f in doc["features"])
-        caps_doc = doc["capacities"]
-        prefs_doc = doc["college_prefs"]
-        utils_doc = doc["utilities"]
-        dists_doc = doc["weight_dists"]
+        caps_doc = _object(doc["capacities"], "capacities")
+        prefs_doc = _object(doc["college_prefs"], "college_prefs")
+        utils_doc = _object(doc["utilities"], "utilities")
+        dists_doc = _object(doc["weight_dists"], "weight_dists")
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed document: {exc}") from exc
 
@@ -528,6 +553,8 @@ def instance_from_dict(doc: Mapping) -> Instance:
         order = prefs_doc.get(c)
         if order is None:
             raise ValidationError(f"incomplete college preference: {c} has no list")
+        if not isinstance(order, list) or not all(isinstance(sid, str) for sid in order):
+            raise ParseError(f"malformed document: preferences of {c!r} must be a list of student ids")
         try:
             college_prefs.append(tuple(s_index[s] for s in order))
         except KeyError as exc:
@@ -538,11 +565,13 @@ def instance_from_dict(doc: Mapping) -> Instance:
         per_student = utils_doc.get(s)
         if per_student is None:
             raise ParseError(f"malformed document: missing utilities for {s!r}")
+        per_student = _object(per_student, f"utilities of {s!r}")
         per_feature = []
         for f in features:
             row_doc = per_student.get(f)
             if row_doc is None:
                 raise ParseError(f"malformed document: missing utilities for {s!r} on feature {f!r}")
+            row_doc = _object(row_doc, f"utilities of {s!r} on feature {f!r}")
             row = [Fraction(0)] * len(colleges)
             for cid, val in row_doc.items():
                 if cid not in c_index:

@@ -1,6 +1,6 @@
 """Brute-force ground truth on desk-scale instances: exhaustive optimal
-stability search, approximation ratios, incentive audits and transitivity
-checks.
+stability search, approximation ratios, the random-trial ratio experiment,
+incentive audits and transitivity checks.
 
 The audits try a finite misreport space (all deterministic strict orders,
 encoded as identical utility columns), so "no violation found" is evidence
@@ -14,8 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
+import numpy as np
+
 from .gda import Strategy, run_gda
-from .model import Instance, Matching, ProsResult, ValidationError
+from .instances import gen_random
+from .model import Instance, Matching, ProsResult, ValidationError, format_rational
 from .prob import DEFAULT_SAMPLES, pr_prefers, pros_exact
 
 __all__ = [
@@ -26,12 +29,15 @@ __all__ = [
     "enumerate_matchings",
     "optimal_pros",
     "approx_ratio",
+    "ExperimentConfig",
+    "run_experiment",
     "order_misreports",
     "audit_ic",
     "check_transitivity",
 ]
 
 DEFAULT_BUDGET = 10_000_000
+DEFAULT_SEED = 42
 AUDIT_NOTE = "finite misreport space: absence of violations is evidence, not certification"
 
 
@@ -94,12 +100,63 @@ def approx_ratio(inst: Instance, strategy: Strategy, budget: int = DEFAULT_BUDGE
     optimum were 0, which cannot happen: some matching is always stable
     for each realized preference profile)."""
     opt = optimal_pros(inst, budget)
-    alg = pros_exact(inst, run_gda(inst, strategy)[0])
-    if opt.best_pros.value == 0:
+    return _ratio(pros_exact(inst, run_gda(inst, strategy)[0]).value, opt.best_pros.value)
+
+
+def _ratio(alg, opt):
+    """alg / opt, exact when both are Fractions; 1 when opt is 0."""
+    if opt == 0:
         return Fraction(1)
-    if isinstance(alg.value, Fraction) and isinstance(opt.best_pros.value, Fraction):
-        return alg.value / opt.best_pros.value
-    return float(alg.value) / float(opt.best_pros.value)
+    if isinstance(alg, Fraction) and isinstance(opt, Fraction):
+        return alg / opt
+    return float(alg) / float(opt)
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    trials: int = 500
+    sizes: tuple[int, ...] = (3, 4)
+    capacities: str = "ones"  # ones | spread
+    strategies: tuple[Strategy, ...] = tuple(Strategy)
+    seed: int = DEFAULT_SEED
+    budget: int = DEFAULT_BUDGET
+
+
+def _trial_seed(master: int, size: int, trial: int) -> int:
+    ss = np.random.SeedSequence(entropy=master, spawn_key=(size, trial))
+    return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
+def run_experiment(config: ExperimentConfig) -> list[dict]:
+    """One row per (size, trial, strategy); deterministic in config.seed.
+    Trials draw their generator seed from (master seed, size, trial index),
+    so any parallel split over trials would reproduce the serial result."""
+    rows = []
+    for size in config.sizes:
+        for trial in range(config.trials):
+            seed = _trial_seed(config.seed, size, trial)
+            inst = gen_random(size, size, capacities=config.capacities, num_features=2, seed=seed)
+            opt_val = optimal_pros(inst, budget=config.budget).best_pros.value
+            for strategy in config.strategies:
+                matching, _ = run_gda(inst, strategy)
+                alg_val = pros_exact(inst, matching).value
+                ratio = _ratio(alg_val, opt_val)
+                rows.append(
+                    {
+                        "trial": trial,
+                        "seed": seed,
+                        "n": size,
+                        "m": size,
+                        "strategy": strategy.value,
+                        "algorithm_pros": f"{float(alg_val):.12g}",
+                        "optimal_pros": f"{float(opt_val):.12g}",
+                        "ratio": f"{float(ratio):.12g}",
+                        "algorithm_pros_exact": format_rational(alg_val),
+                        "optimal_pros_exact": format_rational(opt_val),
+                        "ratio_exact": format_rational(ratio),
+                    }
+                )
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -136,20 +193,6 @@ def order_misreports(inst: Instance) -> Iterator[tuple[str, tuple]]:
         for rank, c in enumerate(perm):
             row[c] = Fraction(m - rank, m)
         yield label, tuple(tuple(row) for _ in range(k))
-
-
-def _with_report(inst: Instance, s: int, utility_rows) -> Instance:
-    utilities = list(inst.utilities)
-    utilities[s] = tuple(tuple(row) for row in utility_rows)
-    return Instance(
-        students=inst.students,
-        colleges=inst.colleges,
-        capacities=inst.capacities,
-        college_prefs=inst.college_prefs,
-        features=inst.features,
-        utilities=tuple(utilities),
-        weight_dists=inst.weight_dists,
-    )
 
 
 def _improvement_prob(inst: Instance, s: int, new_c, old_c, samples, seed):
@@ -193,7 +236,7 @@ def improvement_scan(
         space = shared + ([("truthful", inst.utilities[s])] if per_student else [])
         for label, rows in space:
             tried += 1
-            altered = _with_report(inst, s, rows)
+            altered = inst.with_report(s, rows)
             outcome, _ = run_gda(altered, strategy, samples=samples, seed=seed)
             prob = _improvement_prob(inst, s, outcome.college_of(s), old_c, samples, seed)
             if prob > 0:

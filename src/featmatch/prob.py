@@ -8,6 +8,10 @@ patterns of the per-feature differences give the cases below.  Stability
 probabilities then factor per student into the measure of one weight
 interval.  Exact rational arithmetic is used whenever every input on the
 path is rational; estimation is never silently substituted.
+
+A student's pairwise facts depend only on her own utilities and weights, so
+they are built once into a per-student table on ``Instance.pair_facts`` (see
+``_facts``); ``Instance.with_report`` keeps the other students' tables.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -114,8 +117,7 @@ class BlockInterval:
         return self.lower > self.upper
 
 
-@lru_cache(maxsize=None)
-def _case4(u1i: Fraction, u2i: Fraction, u1j: Fraction, u2j: Fraction) -> PairwiseCase:
+def _case(u1i: Fraction, u2i: Fraction, u1j: Fraction, u2j: Fraction) -> PairwiseCase:
     if u1i > u1j and u2i > u2j:
         return PairwiseCase(ALWAYS)
     if u1i <= u1j and u2i <= u2j:
@@ -125,18 +127,6 @@ def _case4(u1i: Fraction, u2i: Fraction, u1j: Fraction, u2j: Fraction) -> Pairwi
     if u1i > u1j:
         return PairwiseCase(THRESHOLD_ABOVE, eta)
     return PairwiseCase(THRESHOLD_BELOW, eta)
-
-
-def pairwise_case_2f(inst: Instance, s: int, ci: int, cj: int) -> PairwiseCase:
-    """Classify Pr[ci beats cj strictly] for a two-feature student."""
-    if inst.num_features != 2:
-        raise ValidationError("pairwise case split requires exactly 2 features")
-    return _case4(
-        inst.utility(s, 0, ci),
-        inst.utility(s, 1, ci),
-        inst.utility(s, 0, cj),
-        inst.utility(s, 1, cj),
-    )
 
 
 def _case_prob(dist: WeightDistribution, case: PairwiseCase) -> Prob:
@@ -150,6 +140,67 @@ def _case_prob(dist: WeightDistribution, case: PairwiseCase) -> Prob:
 
 
 # ---------------------------------------------------------------------------
+# per-student table of pairwise facts
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Facts:
+    cases: Union[list, None]  # cases[ci][cj]: case split of "ci strictly beats cj"; two features only
+    atoms: Union[list, None]  # discrete only: (probability, exact score of every college) per atom
+    strict: list  # strict[ci][cj] = Pr[ci strictly beats cj]; closed form for beta2, else exact
+
+
+def _facts(inst: Instance, s: int) -> Union[_Facts, None]:
+    """Student s's table, built on first use; None when she needs Monte Carlo
+    (not discrete, not two features), which her slot records as False."""
+    slot = inst.pair_facts[s]
+    if slot is not None:
+        return slot or None
+    dist, k, m = inst.weight_dists[s], inst.num_features, inst.m
+    u = inst.utilities[s]
+    cases = atoms = None
+    if k == 2:
+        cases = [[_case(u[0][i], u[1][i], u[0][j], u[1][j]) for j in range(m)] for i in range(m)]
+    if isinstance(dist, DiscreteWeights):
+        atoms = [(p, [sum(w[f] * u[f][c] for f in range(k)) for c in range(m)]) for w, p in dist.atoms]
+        strict = [
+            [sum((p for p, sc in atoms if sc[i] > sc[j]), Fraction(0)) for j in range(m)] for i in range(m)
+        ]
+    elif cases is not None:
+        strict = [[_case_prob(dist, case) for case in row] for row in cases]
+    else:
+        inst.pair_facts[s] = False
+        return None
+    facts = inst.pair_facts[s] = _Facts(cases, atoms, strict)
+    return facts
+
+
+def _window(facts: _Facts, c: int, rivals: Iterable[int]):
+    """(lo, hi): first-feature weights at which no rival strictly beats c, or
+    None if one always does.  Rivals of strict probability 0 change no measure."""
+    lo, hi = Fraction(0), Fraction(1)
+    for d in rivals:
+        if facts.strict[d][c] == 0:
+            continue
+        case = facts.cases[d][c]
+        if case.tag == ALWAYS:
+            return None
+        if case.tag == THRESHOLD_ABOVE:
+            hi = min(hi, case.eta)
+        else:
+            lo = max(lo, case.eta)
+    return lo, hi
+
+
+def pairwise_case_2f(inst: Instance, s: int, ci: int, cj: int) -> PairwiseCase:
+    """Classify Pr[ci beats cj strictly] for a two-feature student."""
+    if inst.num_features != 2:
+        raise ValidationError("pairwise case split requires exactly 2 features")
+    return _facts(inst, s).cases[ci][cj]
+
+
+# ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
 
@@ -159,8 +210,13 @@ def sample_weights(dist: WeightDistribution, k: int, rng: np.random.Generator) -
     return dist.sample(k, rng)
 
 
-def _student_rng(seed: int, s: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(s,)))
+def _mc_scores(inst: Instance, s: int, samples: int, seed, key: tuple) -> np.ndarray:
+    """Student s's weighted score of every college at `samples` weight draws
+    from substream `key` of `seed`, shape (samples, colleges)."""
+    if seed is None:
+        raise ValidationError("Monte Carlo path requires an explicit seed")
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+    return sample_weights(inst.weight_dists[s], samples, rng) @ inst.utilities_f64[s]
 
 
 # Monte Carlo kernels over per-sample weighted scores, shape (samples, colleges)
@@ -186,41 +242,6 @@ def _top_fraction(scores: np.ndarray, c: int, pool) -> float:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=1 << 16)
-def _discrete_pair_cached(atoms, ui, uj, strict: bool) -> Fraction:
-    total = Fraction(0)
-    for w, p in atoms:
-        si = sum(w[f] * ui[f] for f in range(len(ui)))
-        sj = sum(w[f] * uj[f] for f in range(len(uj)))
-        if (si > sj) if strict else (si >= sj):
-            total += p
-    return total
-
-
-def _discrete_pair(inst: Instance, s: int, ci: int, cj: int, strict: bool) -> Fraction:
-    k = inst.num_features
-    return _discrete_pair_cached(
-        inst.weight_dists[s].atoms,
-        tuple(inst.utility(s, f, ci) for f in range(k)),
-        tuple(inst.utility(s, f, cj) for f in range(k)),
-        strict,
-    )
-
-
-def _mc_pair(inst: Instance, s: int, ci: int, cj: int, strict: bool, samples: int, seed) -> float:
-    if seed is None:
-        raise ValidationError("Monte Carlo path requires an explicit seed")
-    # stream keyed on the unordered pair so strict(i,j) + weak(j,i) = 1 holds
-    # exactly even on the estimated path
-    key = (s, min(ci, cj), max(ci, cj))
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
-    w = sample_weights(inst.weight_dists[s], samples, rng)
-    scores = w @ inst.utilities_f64[s]
-    if strict:
-        return _strict_fraction(scores, ci, cj)
-    return 1.0 - _strict_fraction(scores, cj, ci)
-
-
 def pr_prefers(
     inst: Instance,
     s: int,
@@ -240,14 +261,13 @@ def pr_prefers(
     """
     if ci == cj:
         raise ValidationError("pairwise probability needs two distinct colleges")
-    dist = inst.weight_dists[s]
-    if isinstance(dist, DiscreteWeights):
-        return _discrete_pair(inst, s, ci, cj, strict)
-    if inst.num_features == 2:
-        if strict:
-            return _case_prob(dist, pairwise_case_2f(inst, s, ci, cj))
-        return 1 - _case_prob(dist, pairwise_case_2f(inst, s, cj, ci))
-    return _mc_pair(inst, s, ci, cj, strict, samples, seed)
+    facts = _facts(inst, s)
+    if facts is not None:
+        return facts.strict[ci][cj] if strict else 1 - facts.strict[cj][ci]
+    # stream keyed on the unordered pair so strict(i,j) + weak(j,i) = 1 holds
+    # exactly even on the estimated path
+    scores = _mc_scores(inst, s, samples, seed, (s, min(ci, cj), max(ci, cj)))
+    return _strict_fraction(scores, ci, cj) if strict else 1.0 - _strict_fraction(scores, cj, ci)
 
 
 def pr_top(
@@ -270,37 +290,16 @@ def pr_top(
     rivals = [d for d in pool if d != c]
     if not rivals:
         return Fraction(1)
+    facts = _facts(inst, s)
+    if facts is None:
+        return _top_fraction(_mc_scores(inst, s, samples, seed, (s, c, 104729)), c, rivals)
+    if facts.atoms is not None:
+        return sum((p for p, sc in facts.atoms if all(sc[c] >= sc[d] for d in rivals)), Fraction(0))
+    window = _window(facts, c, rivals)
     dist = inst.weight_dists[s]
-
-    if isinstance(dist, DiscreteWeights):
-        total = Fraction(0)
-        for w, p in dist.atoms:
-            sc = sum(w[f] * inst.utility(s, f, c) for f in range(inst.num_features))
-            if all(
-                sc >= sum(w[f] * inst.utility(s, f, d) for f in range(inst.num_features))
-                for d in rivals
-            ):
-                total += p
-        return total
-
-    if inst.num_features == 2:
-        lo, hi = Fraction(0), Fraction(1)
-        for d in rivals:
-            case = pairwise_case_2f(inst, s, d, c)  # rival beats c strictly when...
-            if case.tag == ALWAYS:
-                return dist.w1_measure(1, 0)  # an empty window: the distribution's zero
-            if case.tag == THRESHOLD_ABOVE:
-                hi = min(hi, case.eta)
-            elif case.tag == THRESHOLD_BELOW:
-                lo = max(lo, case.eta)
-        return dist.w1_measure(lo, hi)
-
-    if seed is None:
-        raise ValidationError("Monte Carlo path requires an explicit seed")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(s, c, 104729)))
-    w = sample_weights(dist, samples, rng)
-    scores = w @ inst.utilities_f64[s]
-    return _top_fraction(scores, c, rivals)
+    if window is None:
+        return dist.w1_measure(1, 0)  # an empty window: the distribution's zero
+    return dist.w1_measure(*window)
 
 
 # ---------------------------------------------------------------------------
@@ -356,21 +355,13 @@ def stability_interval(inst: Instance, matching: Matching, s: int) -> Union[Bloc
     unmatched, or some potential blocker dominates her assignment)."""
     if inst.num_features != 2:
         raise ValidationError("stability intervals require exactly 2 features")
-    dist = inst.weight_dists[s]
     match = matching.college_of(s)
     if match is None:
         return None
-    lo, hi = Fraction(0), Fraction(1)
-    for c in potential_blockers(inst, matching, s):
-        case = pairwise_case_2f(inst, s, c, match)
-        if _case_prob(dist, case) == 0:
-            continue
-        if case.tag == ALWAYS:
-            return None
-        if case.tag == THRESHOLD_ABOVE:
-            hi = min(hi, case.eta)
-        else:
-            lo = max(lo, case.eta)
+    window = _window(_facts(inst, s), match, potential_blockers(inst, matching, s))
+    if window is None:
+        return None
+    lo, hi = window
     if lo > hi:
         return BlockInterval(Fraction(1), Fraction(0))  # canonical empty window
     return BlockInterval(lo, hi)
@@ -454,10 +445,7 @@ def pros_monte_carlo(inst: Instance, matching: Matching, samples: int, seed: int
         if not candidates:
             fractions.append(1.0)
             continue
-        rng = _student_rng(seed, s)
-        w = sample_weights(inst.weight_dists[s], samples, rng)
-        scores = w @ inst.utilities_f64[s]
-        fractions.append(_noblock_fraction(scores, match, candidates))
+        fractions.append(_noblock_fraction(_mc_scores(inst, s, samples, seed, (s,)), match, candidates))
     value = float(np.prod(fractions))
     # Var(prod X_s) = prod(var_s + mean_s^2) - prod(mean_s^2), plug-in estimates
     second = 1.0

@@ -2,18 +2,20 @@
 
 Nothing here imports the code paths it is used to check: the reference
 deferred acceptance is a plain sequential textbook loop, the stability
-oracles evaluate block events directly at sampled/grid weights, and the
-triangle quadrature integrates the three-feature preference regions
-numerically.
+oracles evaluate block events directly at sampled/grid weights, the atom
+oracles score every support atom afresh, and the triangle quadrature
+integrates the three-feature preference regions numerically.  The
+malformed-document list is shared by the parser and CLI exit-code tests.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction as F
 
 import numpy as np
 
-from featmatch.model import DiscreteWeights, Instance
+from featmatch.model import DiscreteWeights, Instance, ParseError, ValidationError
 from featmatch.prob import potential_blockers
 
 
@@ -96,6 +98,61 @@ def grid_pros(inst: Instance, matching, points: int = 10_000) -> float:
         blocked = (scores[:, cand] > scores[:, [match]]).any(axis=1)
         total *= 1.0 - blocked.mean()
     return total
+
+
+def _atom_score(w, utilities, c):
+    return sum(x * row[c] for x, row in zip(w, utilities))
+
+
+def atom_prefers(inst: Instance, s: int, ci: int, cj: int, strict: bool = True) -> F:
+    """Pr[ci beats cj] for a discrete-weight student by enumerating her
+    support atoms; strict selects > over >=."""
+    total = F(0)
+    for w, p in inst.weight_dists[s].atoms:
+        si = _atom_score(w, inst.utilities[s], ci)
+        sj = _atom_score(w, inst.utilities[s], cj)
+        if (si > sj) if strict else (si >= sj):
+            total += p
+    return total
+
+
+def atom_top(inst: Instance, s: int, c: int, pool) -> F:
+    """Pr[c weakly beats every pool member] for a discrete-weight student."""
+    total = F(0)
+    for w, p in inst.weight_dists[s].atoms:
+        sc = _atom_score(w, inst.utilities[s], c)
+        if all(sc >= _atom_score(w, inst.utilities[s], d) for d in pool):
+            total += p
+    return total
+
+
+def malformed_documents(doc: dict):
+    """(label, JSON text, expected error) for edits of a valid document with
+    students s1..s3, colleges c1..c3 and features f1, f2."""
+
+    def edited(path, value):
+        out = json.loads(json.dumps(doc))
+        target = out
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return json.dumps(out)
+
+    def utility_literal(literal):
+        return edited(["utilities", "s1", "f1", "c1"], "@@").replace('"@@"', literal)
+
+    return [
+        ("utilities not an object", edited(["utilities"], "x"), ParseError),
+        ("student utilities not an object", edited(["utilities", "s1"], "x"), ParseError),
+        ("feature row as a list", edited(["utilities", "s1", "f1"], ["0.3", "0.2", "1.0"]), ParseError),
+        ("college_prefs a string", edited(["college_prefs"], "x"), ParseError),
+        ("college_prefs a list", edited(["college_prefs"], [["s1"]]), ParseError),
+        ("preference entry a number", edited(["college_prefs", "c1"], 5), ParseError),
+        ("preference entry of lists", edited(["college_prefs", "c1"], [["s1"], ["s2"], ["s3"]]), ParseError),
+        ("utility 1e400", utility_literal("1e400"), ParseError),
+        ("utility NaN", utility_literal("NaN"), ParseError),
+        ("duplicate feature ids", edited(["features"], ["f1", "f1"]), ValidationError),
+    ]
 
 
 def triangle_quadrature_strict(inst: Instance, s: int, ci: int, cj: int, cells: int = 1500) -> float:

@@ -158,14 +158,18 @@ def test_criterion_7_monte_carlo_consistency():
     _report(7, f"50 instances, {misses} outside max(3*stderr, 0.01), {elapsed:.1f}s")
 
 
-def _with_grid_weights(inst: Instance, points: int) -> Instance:
-    """Replace every flat two-feature weight distribution with a midpoint
-    grid of `points` equiprobable atoms."""
-    atoms = tuple(
-        ((F(2 * i + 1, 2 * points), 1 - F(2 * i + 1, 2 * points)), F(1, points))
-        for i in range(points)
+def _grid_weights(points: int) -> DiscreteWeights:
+    """A midpoint grid of `points` equiprobable atoms on the first feature's weight."""
+    return DiscreteWeights(
+        tuple(
+            ((F(2 * i + 1, 2 * points), 1 - F(2 * i + 1, 2 * points)), F(1, points))
+            for i in range(points)
+        )
     )
-    grid = DiscreteWeights(atoms)
+
+
+def _with_grid_weights(inst: Instance, grid: DiscreteWeights) -> Instance:
+    """Replace every flat two-feature weight distribution with the grid."""
     return Instance(
         students=inst.students,
         colleges=inst.colleges,
@@ -179,13 +183,14 @@ def _with_grid_weights(inst: Instance, points: int) -> Instance:
 
 def test_criterion_8_oracle_equivalence():
     watch = Stopwatch(120.0)
+    grid = _grid_weights(10_000)
     worst = 0.0
     for i in range(100):
         n = 3 + (i % 2)
         inst = gen_random(n, n, seed=30_000 + i)
         matching, _ = run_gda(inst, list(Strategy)[i % 4])
         exact = pros_exact_2f(inst, matching).value
-        gridded = pros_exact_discrete(_with_grid_weights(inst, 10_000), matching).value
+        gridded = pros_exact_discrete(_with_grid_weights(inst, grid), matching).value
         worst = max(worst, abs(float(exact - gridded)))
     assert worst <= 2e-4
 

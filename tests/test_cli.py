@@ -8,6 +8,8 @@ from featmatch import goldens
 from featmatch.cli import ExperimentConfig, experiment_csv, experiment_svg, main, run_experiment
 from featmatch.svg import BoxStats
 
+from helpers import malformed_documents
+
 
 @pytest.fixture
 def ex1_path(tmp_path):
@@ -91,6 +93,9 @@ def test_exit_codes(tmp_path, ex1_path, capsys):
     assert main(["solve", str(tmp_path / "missing.json"), "--strategy", "locv"]) == 2
     assert main(["optimal", ex1_path, "--budget", "3"]) == 3
     doc = json.loads((tmp_path / "ex1.json").read_text())
+    for label, text, _ in malformed_documents(doc):
+        bad.write_text(text)
+        assert main(["solve", str(bad), "--strategy", "locv"]) == 2, label
     for alpha in ("abc", "1e400"):
         doc["weight_dists"]["s1"] = {"type": "beta2", "alpha": alpha, "beta": 2}
         bad.write_text(json.dumps(doc))

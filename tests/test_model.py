@@ -21,6 +21,8 @@ from featmatch.model import (
 )
 from featmatch.instances import gen_random, non_transitive, worked_example
 
+from helpers import malformed_documents
+
 EX1_JSON = {
     "students": ["s1", "s2", "s3"],
     "colleges": ["c1", "c2", "c3"],
@@ -115,6 +117,9 @@ def test_malformed_documents():
     del doc["utilities"]["s2"]
     with pytest.raises(ParseError, match="malformed document"):
         parse_instance(json.dumps(doc))
+    for _, text, error in malformed_documents(EX1_JSON):
+        with pytest.raises(error):
+            parse_instance(text)
 
 
 def test_distribution_invariants():

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -27,7 +28,7 @@ from featmatch.prob import (
 from featmatch.gda import Strategy, run_gda
 from featmatch.instances import gen_random, non_transitive, worked_example
 
-from helpers import grid_pros, triangle_quadrature_strict
+from helpers import atom_prefers, atom_top, grid_pros, triangle_quadrature_strict
 
 
 def with_dist(inst: Instance, s: int, dist) -> Instance:
@@ -122,6 +123,61 @@ def test_strict_plus_swapped_weak_is_one(seed, kind):
     for s in range(3):
         for ci, cj in itertools.permutations(range(3), 2):
             assert pr_prefers(inst, s, ci, cj, True) + pr_prefers(inst, s, cj, ci, False) == 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10**6), features=st.sampled_from([2, 3]))
+def test_discrete_pairwise_and_top_match_atom_oracle(seed, features):
+    base = gen_random(3, 4, num_features=features, dist_kind="discrete", seed=seed)
+    rng = np.random.default_rng(seed)
+    # utilities on a quarter grid tie often at the atoms, so strict and weak differ
+    coarse = tuple(
+        tuple(tuple(F(int(x), 4) for x in rng.integers(0, 5, base.m)) for _ in range(features))
+        for _ in range(base.n)
+    )
+    inst = replace(base, utilities=coarse)
+    for s in range(inst.n):
+        for ci, cj in itertools.permutations(range(inst.m), 2):
+            for strict in (True, False):
+                assert pr_prefers(inst, s, ci, cj, strict) == atom_prefers(inst, s, ci, cj, strict)
+        for size in range(1, inst.m + 1):
+            for pool in itertools.combinations(range(inst.m), size):
+                for c in pool:
+                    assert pr_top(inst, s, c, pool) == atom_top(inst, s, c, pool)
+
+
+@pytest.mark.parametrize("kind", ["uniform_simplex", "discrete", ("beta2", 2.0, 5.0)])
+def test_with_report_matches_fresh_instance(kind):
+    inst = gen_random(3, 3, dist_kind=kind, seed=11)
+    for s in range(inst.n):
+        pr_top(inst, s, 0, range(inst.m))  # build every student's table
+    before = list(inst.pair_facts)
+    assert all(before)
+    for s in range(inst.n):
+        rows = inst.utilities[(s + 1) % inst.n]  # another student's utilities as s's report
+        altered = inst.with_report(s, rows)
+        utilities = list(inst.utilities)
+        utilities[s] = rows
+        fresh = Instance(
+            students=inst.students,
+            colleges=inst.colleges,
+            capacities=inst.capacities,
+            college_prefs=inst.college_prefs,
+            features=inst.features,
+            utilities=tuple(utilities),
+            weight_dists=inst.weight_dists,
+        )
+        assert altered == fresh
+        for t in range(inst.n):
+            for ci, cj in itertools.permutations(range(inst.m), 2):
+                assert pairwise_case_2f(altered, t, ci, cj) == pairwise_case_2f(fresh, t, ci, cj)
+                for strict in (True, False):
+                    assert pr_prefers(altered, t, ci, cj, strict) == pr_prefers(fresh, t, ci, cj, strict)
+            for size in range(1, inst.m + 1):
+                for pool in itertools.combinations(range(inst.m), size):
+                    for c in pool:
+                        assert pr_top(altered, t, c, pool) == pr_top(fresh, t, c, pool)
+    assert all(now is then for now, then in zip(inst.pair_facts, before))
 
 
 @settings(max_examples=30, deadline=None)
