@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Union
+from typing import ClassVar, Mapping, Union
 
 import numpy as np
 from scipy.special import betainc
@@ -106,7 +106,7 @@ def format_rational(q: Fraction) -> str:
 # between lo and hi (two features only, ends in [0, 1], each end closed unless
 # its flag is set); ``sample(k, rng)`` draws k weight vectors as a (k, dim)
 # float array; ``to_dict`` is the JSON form.  Uniform and discrete results are
-# exact Fractions, beta results are floats.
+# exact Fractions, beta results are floats; ``exact`` says which.
 
 
 @dataclass(frozen=True)
@@ -114,6 +114,7 @@ class UniformSimplex:
     """Flat (all-ones Dirichlet) density over {w : w_f >= 0, sum_f w_f = 1}."""
 
     dim: int
+    exact: ClassVar[bool] = True
 
     def __post_init__(self):
         if self.dim < 1:
@@ -148,6 +149,7 @@ class DiscreteWeights:
     Every support vector lies exactly on the simplex."""
 
     atoms: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
+    exact: ClassVar[bool] = True
 
     def __post_init__(self):
         if not self.atoms:
@@ -209,6 +211,7 @@ class BetaWeights:
 
     alpha: float
     beta: float
+    exact: ClassVar[bool] = False
 
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
@@ -292,20 +295,24 @@ class Instance:
         if len(self.utilities) != n or len(self.weight_dists) != n:
             raise ValidationError("utilities/weight_dists must cover every student")
         for s, per_feature in enumerate(self.utilities):
-            if len(per_feature) != k or any(len(row) != m for row in per_feature):
-                raise ValidationError("utility table shape must be students x features x colleges")
-            for row in per_feature:
-                for u in row:
-                    if not (0 <= u <= 1):
-                        raise ValidationError(
-                            f"utility outside [0,1]: student {self.students[s]} has {format_rational(u)}"
-                        )
+            self._check_utilities(s, per_feature)
         for s, dist in enumerate(self.weight_dists):
             if dist.dim != k:
                 raise ValidationError(
                     f"distribution dimension mismatch: student {self.students[s]} has dim "
                     f"{dist.dim}, instance has {k} features"
                 )
+
+    def _check_utilities(self, s: int, per_feature) -> None:
+        """Student s's utility table has shape features x colleges, values in [0, 1]."""
+        if len(per_feature) != self.num_features or any(len(row) != self.m for row in per_feature):
+            raise ValidationError("utility table shape must be students x features x colleges")
+        for row in per_feature:
+            for u in row:
+                if not (0 <= u <= 1):
+                    raise ValidationError(
+                        f"utility outside [0,1]: student {self.students[s]} has {format_rational(u)}"
+                    )
 
     @property
     def n(self) -> int:
@@ -345,12 +352,19 @@ class Instance:
 
     def with_report(self, s: int, rows) -> "Instance":
         """This instance with student s's utility table replaced by ``rows``
-        (one row per feature).  Every other student's pairwise facts carry
-        over: they depend only on her own utilities and weights."""
-        utilities = list(self.utilities)
-        utilities[s] = tuple(tuple(row) for row in rows)
-        out = replace(self, utilities=tuple(utilities))
-        out.pair_facts[:] = self.pair_facts
+        (one row per feature).  Only the new rows are checked; the rest of
+        the instance is already valid.  ``college_rank`` and every other
+        student's pairwise facts carry over: the facts depend only on her
+        own utilities and weights."""
+        rows = tuple(tuple(row) for row in rows)
+        self._check_utilities(s, rows)
+        out = object.__new__(Instance)
+        vars(out).update(
+            {f.name: getattr(self, f.name) for f in fields(self)},
+            utilities=self.utilities[:s] + (rows,) + self.utilities[s + 1 :],
+            college_rank=self.college_rank,
+            pair_facts=list(self.pair_facts),
+        )
         out.pair_facts[s] = None
         return out
 
@@ -368,10 +382,6 @@ class Instance:
 
     def utility(self, s: int, f: int, c: int) -> Fraction:
         return self.utilities[s][f][c]
-
-    def prefers(self, c: int, s1: int, s2: int) -> bool:
-        """True iff college c strictly prefers student s1 to s2."""
-        return self.college_rank[c][s1] < self.college_rank[c][s2]
 
 
 # ---------------------------------------------------------------------------
@@ -425,16 +435,18 @@ def validate_matching(inst: Instance, matching: Matching) -> MatchingVerdict:
     """Check capacity feasibility and index consistency of a matching."""
     if len(matching.assignment) != inst.n:
         raise ValidationError("matching must assign every student (possibly to None)")
-    violations = []
-    for s, c in enumerate(matching.assignment):
-        if c is not None and not (0 <= c < inst.m):
-            raise ValidationError(f"unknown college index in matching: {c}")
-    for c, enrolled in matching.by_college.items():
-        if len(enrolled) > inst.capacities[c]:
-            violations.append(
-                f"college {inst.colleges[c]} over capacity: {len(enrolled)} > {inst.capacities[c]}"
-            )
-    return MatchingVerdict(ok=not violations, violations=tuple(violations))
+    load: dict[int, int] = {}  # colleges in order of first appearance
+    for c in matching.assignment:
+        if c is not None:
+            if not (0 <= c < inst.m):
+                raise ValidationError(f"unknown college index in matching: {c}")
+            load[c] = load.get(c, 0) + 1
+    violations = tuple(
+        f"college {inst.colleges[c]} over capacity: {k} > {inst.capacities[c]}"
+        for c, k in load.items()
+        if k > inst.capacities[c]
+    )
+    return MatchingVerdict(ok=not violations, violations=violations)
 
 
 # ---------------------------------------------------------------------------
@@ -523,12 +535,18 @@ def _object(value, where: str) -> dict:
     return value
 
 
+def _ids(value, where: str) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise ParseError(f"malformed document: {where} must be a list of strings")
+    return tuple(value)
+
+
 def instance_from_dict(doc: Mapping) -> Instance:
     """Build and validate an Instance from the JSON document structure."""
     try:
-        students = tuple(str(s) for s in doc["students"])
-        colleges = tuple(str(c) for c in doc["colleges"])
-        features = tuple(str(f) for f in doc["features"])
+        students = _ids(doc["students"], "students")
+        colleges = _ids(doc["colleges"], "colleges")
+        features = _ids(doc["features"], "features")
         caps_doc = _object(doc["capacities"], "capacities")
         prefs_doc = _object(doc["college_prefs"], "college_prefs")
         utils_doc = _object(doc["utilities"], "utilities")

@@ -12,12 +12,21 @@ path is rational; estimation is never silently substituted.
 A student's pairwise facts depend only on her own utilities and weights, so
 they are built once into a per-student table on ``Instance.pair_facts`` (see
 ``_facts``); ``Instance.with_report`` keeps the other students' tables.
+
+Potential blockers come from one integer cutoff per college and matching
+(``_cutoffs``): n while the college has a free seat, else the worst
+``college_rank`` among its enrollees; college c can block with student s iff
+``college_rank[c][s] < cutoff[c]``.  A two-feature student's stability factor
+depends only on her table, her college and her set of blockers, so the table
+also holds a factor memo under that key (``_factor_2f``), and
+``pros_exact_2f`` stops at the first zero factor when every weight
+distribution is exact.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -149,6 +158,7 @@ class _Facts:
     cases: Union[list, None]  # cases[ci][cj]: case split of "ci strictly beats cj"; two features only
     atoms: Union[list, None]  # discrete only: (probability, exact score of every college) per atom
     strict: list  # strict[ci][cj] = Pr[ci strictly beats cj]; closed form for beta2, else exact
+    factors: dict = field(default_factory=dict)  # (college, blockers) -> stability factor; see _factor_2f
 
 
 def _facts(inst: Instance, s: int) -> Union[_Facts, None]:
@@ -335,18 +345,32 @@ def mean_weight(inst: Instance, s: int) -> MeanWeight:
 # ---------------------------------------------------------------------------
 
 
+def _cutoffs(inst: Instance, matching: Matching) -> list[int]:
+    """One integer per college: n while it has a free seat, else the worst
+    ``college_rank`` among its enrollees.  College c can block with student s
+    iff ``college_rank[c][s] < cutoff[c]``."""
+    rank = inst.college_rank
+    load = [0] * inst.m
+    worst = [0] * inst.m
+    for s, c in enumerate(matching.assignment):
+        if c is not None:
+            load[c] += 1
+            if rank[c][s] > worst[c]:
+                worst[c] = rank[c][s]
+    return [inst.n if load[c] < cap else worst[c] for c, cap in enumerate(inst.capacities)]
+
+
+def _blockers(inst: Instance, cutoffs: list[int], s: int, match) -> tuple[int, ...]:
+    """The colleges other than s's match that could block with her, by the cutoffs."""
+    rank = inst.college_rank
+    return tuple(c for c, cut in enumerate(cutoffs) if c != match and rank[c][s] < cut)
+
+
 def potential_blockers(inst: Instance, matching: Matching, s: int) -> list[int]:
     """Colleges that could block with s on the college side: a free seat or
-    an enrollee ranked below s.  Preference-side filtering happens later."""
-    out = []
-    match = matching.college_of(s)
-    for c in range(inst.m):
-        if c == match:
-            continue
-        enrolled = matching.students_of(c)
-        if len(enrolled) < inst.capacities[c] or any(inst.prefers(c, s, t) for t in enrolled):
-            out.append(c)
-    return out
+    an enrollee ranked below s (see ``_cutoffs``).  Preference-side
+    filtering happens later."""
+    return list(_blockers(inst, _cutoffs(inst, matching), s, matching.college_of(s)))
 
 
 def stability_interval(inst: Instance, matching: Matching, s: int) -> Union[BlockInterval, None]:
@@ -367,25 +391,45 @@ def stability_interval(inst: Instance, matching: Matching, s: int) -> Union[Bloc
     return BlockInterval(lo, hi)
 
 
-def _student_noblock_2f(inst: Instance, matching: Matching, s: int) -> Prob:
-    dist = inst.weight_dists[s]
-    if matching.college_of(s) is None:
+_EXACT_ZERO = ProsResult(value=Fraction(0), kind="exact")
+
+
+def _factor_2f(inst: Instance, s: int, match, blockers: tuple[int, ...]) -> Prob:
+    """Student s's stability factor: the measure of first-feature weights at
+    which no blocker strictly beats her match.  It depends only on her table,
+    her college and her blockers, so her table memoizes it under that key
+    (at most m * 2^(m-1) entries)."""
+    if match is None:
         # every acceptable college strictly beats being unmatched
-        return Fraction(0) if potential_blockers(inst, matching, s) else Fraction(1)
-    window = stability_interval(inst, matching, s)
-    if window is None or window.empty:
-        return Fraction(0)
-    return dist.w1_measure(window.lower, window.upper)
+        return Fraction(0) if blockers else Fraction(1)
+    facts = _facts(inst, s)
+    key = (match, blockers)
+    factor = facts.factors.get(key)
+    if factor is None:
+        window = _window(facts, match, blockers)
+        if window is None or window[0] > window[1]:
+            factor = Fraction(0)
+        else:
+            factor = inst.weight_dists[s].w1_measure(*window)
+        facts.factors[key] = factor
+    return factor
 
 
 def pros_exact_2f(inst: Instance, matching: Matching) -> ProsResult:
     """Stability probability of a matching with |F| = 2, by the per-student
     interval factorization.  Exact rational for uniform/discrete weights;
-    deterministic closed form when beta-family students are present."""
+    deterministic closed form when beta-family students are present.  When
+    every weight distribution is exact, the first zero factor ends the product."""
     if inst.num_features != 2:
         raise ValidationError("exact two-feature path requires exactly 2 features")
     _require_feasible(inst, matching)
-    factors = [_student_noblock_2f(inst, matching, s) for s in range(inst.n)]
+    cutoffs = _cutoffs(inst, matching)
+    factors = []
+    for s, match in enumerate(matching.assignment):
+        factor = _factor_2f(inst, s, match, _blockers(inst, cutoffs, s, match))
+        if factor == 0 and all(dist.exact for dist in inst.weight_dists):
+            return _EXACT_ZERO
+        factors.append(factor)
     return _product_result(factors)
 
 
@@ -396,10 +440,10 @@ def pros_exact_discrete(inst: Instance, matching: Matching) -> ProsResult:
         raise ValidationError("discrete path requires discrete weights for every student")
     _require_feasible(inst, matching)
     k = inst.num_features
+    cutoffs = _cutoffs(inst, matching)
     factors = []
-    for s in range(inst.n):
-        match = matching.college_of(s)
-        candidates = potential_blockers(inst, matching, s)
+    for s, match in enumerate(matching.assignment):
+        candidates = _blockers(inst, cutoffs, s, match)
         if match is None:
             factors.append(Fraction(0) if candidates else Fraction(1))
             continue
@@ -435,10 +479,10 @@ def pros_monte_carlo(inst: Instance, matching: Matching, samples: int, seed: int
     if samples < 1:
         raise ValidationError("sample count must be positive")
     _require_feasible(inst, matching)
+    cutoffs = _cutoffs(inst, matching)
     fractions = []
-    for s in range(inst.n):
-        match = matching.college_of(s)
-        candidates = potential_blockers(inst, matching, s)
+    for s, match in enumerate(matching.assignment):
+        candidates = list(_blockers(inst, cutoffs, s, match))
         if match is None:
             fractions.append(0.0 if candidates else 1.0)
             continue
@@ -464,15 +508,14 @@ def _require_feasible(inst: Instance, matching: Matching) -> None:
 
 
 def _product_result(factors: Sequence[Prob]) -> ProsResult:
-    if all(isinstance(f, Fraction) for f in factors):
-        value = Fraction(1)
-        for f in factors:
-            value *= f
-        return ProsResult(value=value, kind="exact")
-    value = 1.0
+    """Exact when every factor is a Fraction, else a float closed form;
+    factors equal to 1 are skipped, which changes neither."""
+    exact = all(isinstance(f, Fraction) for f in factors)
+    value = Fraction(1) if exact else 1.0
     for f in factors:
-        value *= float(f)
-    return ProsResult(value=value, kind="closed_form")
+        if f != 1:
+            value *= f if exact else float(f)
+    return ProsResult(value=value, kind="exact" if exact else "closed_form")
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Independent oracles shared by the test modules.
 
 Nothing here imports the code paths it is used to check: the reference
-deferred acceptance is a plain sequential textbook loop, the stability
-oracles evaluate block events directly at sampled/grid weights, the atom
-oracles score every support atom afresh, and the triangle quadrature
-integrates the three-feature preference regions numerically.  The
-malformed-document list is shared by the parser and CLI exit-code tests.
+deferred acceptance is a plain sequential textbook loop, the blocker oracle
+reads college preference lists directly, the stability oracles evaluate
+block events directly at sampled/grid weights, the atom oracles score every
+support atom afresh, and the triangle quadrature integrates the
+three-feature preference regions numerically.  The malformed-document list
+is shared by the parser and CLI exit-code tests.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from fractions import Fraction as F
 import numpy as np
 
 from featmatch.model import DiscreteWeights, Instance, ParseError, ValidationError
-from featmatch.prob import potential_blockers
 
 
 def reference_da(student_prefs, college_prefs, capacities):
@@ -79,6 +79,20 @@ def induced_strict_prefs(inst: Instance) -> list[list[int]]:
     return out
 
 
+def textbook_blockers(inst: Instance, matching, s: int) -> list[int]:
+    """Colleges other than s's own that would take s: one with a free seat,
+    or one holding an enrollee it ranks below s."""
+    out = []
+    for c in range(inst.m):
+        if c == matching.assignment[s]:
+            continue
+        enrolled = [t for t, d in enumerate(matching.assignment) if d == c]
+        order = list(inst.college_prefs[c])
+        if len(enrolled) < inst.capacities[c] or any(order.index(t) > order.index(s) for t in enrolled):
+            out.append(c)
+    return out
+
+
 def grid_pros(inst: Instance, matching, points: int = 10_000) -> float:
     """Stability probability by direct block-event counting on a midpoint
     grid of first-feature weights (two-feature instances)."""
@@ -88,7 +102,7 @@ def grid_pros(inst: Instance, matching, points: int = 10_000) -> float:
     total = 1.0
     for s in range(inst.n):
         match = matching.college_of(s)
-        cand = potential_blockers(inst, matching, s)
+        cand = textbook_blockers(inst, matching, s)
         if match is None:
             total *= 0.0 if cand else 1.0
             continue
@@ -152,6 +166,11 @@ def malformed_documents(doc: dict):
         ("utility 1e400", utility_literal("1e400"), ParseError),
         ("utility NaN", utility_literal("NaN"), ParseError),
         ("duplicate feature ids", edited(["features"], ["f1", "f1"]), ValidationError),
+        ("students a string", edited(["students"], "s1"), ParseError),
+        ("colleges a string", edited(["colleges"], "c1c2c3"), ParseError),
+        ("features an object", edited(["features"], {"f1": "f1", "f2": "f2"}), ParseError),
+        ("student id a number", edited(["students"], ["s1", "s2", 3]), ParseError),
+        ("feature id null", edited(["features"], ["f1", None]), ParseError),
     ]
 
 

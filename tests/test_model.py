@@ -122,6 +122,22 @@ def test_malformed_documents():
             parse_instance(text)
 
 
+def test_id_lists_must_be_lists_of_strings():
+    doc = {
+        "students": ["a", "b"],
+        "colleges": ["c"],
+        "capacities": {"c": 1},
+        "college_prefs": {"c": ["a", "b"]},
+        "features": ["f"],
+        "utilities": {"a": {"f": {"c": "1/2"}}, "b": {"f": {"c": "1/3"}}},
+        "weight_dists": {"a": {"type": "uniform_simplex"}, "b": {"type": "uniform_simplex"}},
+    }
+    assert parse_instance(json.dumps(doc)).students == ("a", "b")
+    doc["students"] = "ab"  # not split into the ids "a" and "b"
+    with pytest.raises(ParseError, match="students must be a list of strings"):
+        parse_instance(json.dumps(doc))
+
+
 def test_distribution_invariants():
     with pytest.raises(ValidationError):
         DiscreteWeights((((F(1, 2), F(1, 4)), F(1)),))  # support not on the simplex

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -25,7 +26,7 @@ from featmatch.oracle import (
     optimal_pros,
     order_misreports,
 )
-from featmatch.prob import pros_exact_2f
+from featmatch.prob import pros_exact, pros_exact_2f
 
 from helpers import matchings_count_closed_form
 
@@ -47,6 +48,21 @@ def test_enumeration_matches_closed_form_and_is_duplicate_free(n, m):
         for c in range(m):
             assert len(matching.students_of(c)) <= inst.capacities[c]
     assert len(seen) == matchings_count_closed_form(n, m)
+
+
+@pytest.mark.parametrize("kind", ["uniform_simplex", "discrete", ("beta2", 2.0, 5.0)])
+def test_optimal_pros_matches_cold_brute_force(kind):
+    for seed in (77, 78):
+        inst = gen_random(4, 4, dist_kind=kind, seed=seed)
+        best = best_val = None
+        for matching in enumerate_matchings(inst):
+            result = pros_exact(replace(inst), matching)  # a fresh Instance per matching: no memo
+            if best_val is None or result.value > best_val.value:
+                best, best_val = matching, result
+        opt = optimal_pros(inst)
+        assert opt.best_matching == best
+        assert opt.best_pros == best_val
+        assert opt.matchings_examined == matchings_count_closed_form(4, 4)
 
 
 def test_enumeration_budget():

@@ -1,4 +1,5 @@
 import itertools
+import math
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -18,17 +19,20 @@ from featmatch.prob import (
     halfspace_form,
     mean_weight,
     pairwise_case_2f,
+    potential_blockers,
     pr_prefers,
     pr_top,
     pros_exact,
     pros_exact_2f,
     pros_exact_discrete,
     pros_monte_carlo,
+    stability_interval,
 )
 from featmatch.gda import Strategy, run_gda
 from featmatch.instances import gen_random, non_transitive, worked_example
+from featmatch.oracle import enumerate_matchings
 
-from helpers import atom_prefers, atom_top, grid_pros, triangle_quadrature_strict
+from helpers import atom_prefers, atom_top, grid_pros, textbook_blockers, triangle_quadrature_strict
 
 
 def with_dist(inst: Instance, s: int, dist) -> Instance:
@@ -144,6 +148,18 @@ def test_discrete_pairwise_and_top_match_atom_oracle(seed, features):
             for pool in itertools.combinations(range(inst.m), size):
                 for c in pool:
                     assert pr_top(inst, s, c, pool) == atom_top(inst, s, c, pool)
+
+
+def test_with_report_checks_only_the_new_rows():
+    inst = gen_random(3, 3, seed=12)
+    rows = inst.utilities[1]
+    altered = inst.with_report(0, rows)
+    assert altered.college_rank is inst.college_rank
+    assert altered.utilities_f64[0].tolist() == inst.utilities_f64[1].tolist()
+    too_high = (F(3, 2),) + rows[1][1:]
+    for bad in ([rows[0]], [rows[0], rows[1][:2]], [rows[0], too_high]):
+        with pytest.raises(ValidationError):
+            inst.with_report(0, bad)
 
 
 @pytest.mark.parametrize("kind", ["uniform_simplex", "discrete", ("beta2", 2.0, 5.0)])
@@ -395,8 +411,6 @@ def test_pros_unmatched_student_rules():
 
 
 def test_stability_interval_goldens():
-    from featmatch.prob import stability_interval
-
     ex1 = worked_example(1)
     locv = Matching.from_ids(ex1, {"s1": "c3", "s2": "c1", "s3": "c2"})
     w0 = stability_interval(ex1, locv, 0)
@@ -433,6 +447,58 @@ def test_pros_2f_matches_grid_oracle():
         assert abs(exact - grid_pros(inst, m, points=20_000)) < 1e-4
 
 
+@pytest.mark.parametrize("n, m", [(3, 3), (4, 4), (5, 3)])
+def test_potential_blockers_match_textbook_oracle(n, m):
+    # (5, 3) spreads capacities (2, 2, 1), so colleges hold several enrollees
+    for seed in range(4):
+        inst = gen_random(n, m, capacities="spread", seed=300 + seed)
+        for matching in enumerate_matchings(inst):
+            for s in range(n):
+                assert potential_blockers(inst, matching, s) == textbook_blockers(inst, matching, s)
+
+
+def _interval_pros(inst, matching):
+    """(value, kind) of the per-student interval product with no memo and no
+    early stop: exact only when every factor is a Fraction."""
+    factors = []
+    for s in range(inst.n):
+        if matching.college_of(s) is None:
+            factors.append(F(0) if textbook_blockers(inst, matching, s) else F(1))
+            continue
+        window = stability_interval(inst, matching, s)
+        empty = window is None or window.empty
+        factors.append(F(0) if empty else inst.weight_dists[s].w1_measure(window.lower, window.upper))
+    if all(isinstance(f, F) for f in factors):
+        return math.prod(factors, start=F(1)), "exact"
+    return math.prod(map(float, factors)), "closed_form"
+
+
+@pytest.mark.parametrize("kind", ["uniform_simplex", "discrete", ("beta2", 2.0, 5.0), "mixed"])
+def test_memoized_pros_2f_equals_cold_evaluation(kind):
+    if kind == "mixed":  # a beta student among flat ones: a zero factor must not end an inexact product
+        inst = with_dist(gen_random(4, 4, seed=31), 1, BetaWeights(2.0, 5.0))
+    else:
+        inst = gen_random(4, 4, dist_kind=kind, seed=31)
+    matchings = list(enumerate_matchings(inst))
+
+    def check(warm, matching):
+        got = pros_exact_2f(warm, matching)
+        cold = pros_exact_2f(replace(warm), matching)  # a freshly built Instance has empty tables
+        assert (got.value, got.kind) == (cold.value, cold.kind)
+        assert type(got.value) is type(cold.value)
+        assert (got.value, got.kind) == _interval_pros(warm, matching)
+
+    for order in (matchings, matchings[::-1]):
+        warm = replace(inst)
+        for matching in order:
+            check(warm, matching)
+    assert all(facts.factors for facts in warm.pair_facts)
+    for s in range(inst.n):
+        altered = warm.with_report(s, inst.utilities[(s + 1) % inst.n])
+        for matching in matchings:
+            check(altered, matching)
+
+
 def test_pros_beta_closed_form_kind():
     ex1 = worked_example(1)
     inst = with_dist(ex1, 2, BetaWeights(2.0, 2.0))
@@ -445,8 +511,6 @@ def test_pros_beta_closed_form_kind():
 def _density_grid_pros(inst, matching, points=200_000):
     """No-block product over a grid of first-feature weights, each student's
     grid cells weighted by her own density."""
-    from featmatch.prob import potential_blockers
-
     w1 = (2 * np.arange(points) + 1) / (2 * points)
     w = np.column_stack([w1, 1.0 - w1])
     total = 1.0
@@ -458,7 +522,7 @@ def _density_grid_pros(inst, matching, points=200_000):
             dens = np.ones_like(w1)
         dens = dens / dens.sum()
         match = matching.college_of(s)
-        cand = potential_blockers(inst, matching, s)
+        cand = textbook_blockers(inst, matching, s)
         if match is None:
             total *= 0.0 if cand else 1.0
             continue
