@@ -24,10 +24,8 @@ from .model import (
 )
 from .prob import (
     BlockInterval,
-    HalfSpace,
     PairwiseCase,
     expected_utility,
-    halfspace_form,
     stability_interval,
     mean_weight,
     pairwise_case_2f,

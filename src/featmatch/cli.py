@@ -25,6 +25,7 @@ from .instances import FAMILIES, FamilyParams, canonical, gen_random
 from .model import (
     Matching,
     ModelError,
+    ParseError,
     ProsResult,
     format_rational,
     parse_instance,
@@ -151,6 +152,8 @@ def _cmd_pros(args) -> int:
         doc = json.loads(Path(args.matching).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ModelError(f"cannot read matching file: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError("matching file must be a JSON object of student id -> college id or null")
     matching = Matching.from_ids(inst, doc)
     verdict = validate_matching(inst, matching)
     if not verdict.ok:
@@ -278,8 +281,17 @@ def experiment_svg(rows: list[dict], config: ExperimentConfig) -> str:
 
 
 def _cmd_experiment(args) -> int:
-    strategies = tuple(Strategy(s) for s in args.strategies.split(",")) if args.strategies != "all" else tuple(Strategy)
-    sizes = tuple(int(x) for x in args.sizes.split(","))
+    try:
+        strategies = tuple(Strategy(s) for s in args.strategies.split(",")) if args.strategies != "all" else tuple(Strategy)
+    except ValueError:
+        names = ",".join(s.value for s in Strategy)
+        raise ParseError(f"--strategies must be 'all' or a comma-separated subset of {names}") from None
+    try:
+        sizes = tuple(int(x) for x in args.sizes.split(","))
+    except ValueError:
+        raise ParseError(f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
+    if args.trials < 1 or min(sizes) < 1:
+        raise ParseError("--trials and every --sizes value must be positive")
     rules = ("ones", "spread") if args.capacities == "both" else (args.capacities,)
     for rule in rules:
         config = ExperimentConfig(
@@ -361,9 +373,12 @@ def _cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p, with_strategy=False, formats=("text", "json")):
+def _add_sampling(p):
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, help="Monte Carlo sample count")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="Monte Carlo seed")
+
+
+def _add_common(p, with_strategy=False, formats=("text", "json")):
     p.add_argument("--format", choices=list(formats), default=formats[0])
     p.add_argument("--out", help="write output to this path instead of stdout")
     if with_strategy:
@@ -376,6 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run a proposing strategy on an instance")
     p.add_argument("instance")
+    _add_sampling(p)
     _add_common(p, with_strategy=True, formats=("text", "json", "csv"))
     p.add_argument("--trace", action="store_true", help="print round-by-round proposals")
     p.set_defaults(func=_cmd_solve)
@@ -384,6 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--matching", required=True, help="JSON file mapping student id -> college id or null")
     p.add_argument("--mc", action="store_true", help="force the Monte Carlo estimator")
+    _add_sampling(p)
     _add_common(p)
     p.set_defaults(func=_cmd_pros)
 
@@ -397,6 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--level", choices=["ic-c", "ic-r"], default="ic-c")
     p.add_argument("--budget", type=int, default=250_000)
+    _add_sampling(p)
     _add_common(p, with_strategy=True)
     p.set_defaults(func=_cmd_audit_ic)
 

@@ -4,11 +4,20 @@ proposing strategies.
 Each round, every unmatched student who still has an unproposed college
 proposes to the college her strategy selects; each college then keeps the
 best students it can seat among current holds plus proposers and rejects
-the rest.  Rejections are cumulative: a student never proposes twice to the
-same college.  All ties break to the lowest college index, so runs are
-deterministic.  With point-mass weight distributions the outcome coincides
-with textbook student-proposing deferred acceptance on the induced strict
-preferences.
+the rest.  All ties break to the lowest college index, so runs are
+deterministic.
+
+Prefix property: a student proposes only while she is unmatched, and then
+every college she has proposed to has rejected her, so her rejected set is
+always the set of her own earlier proposals.  ``Next()`` therefore fixes one
+proposal order per (student, rule), and a run is textbook deferred
+acceptance (Gale & Shapley 1962) over those orders.  Each student's order is
+a list in her pairwise-facts table (``prob._facts``) under (rule, samples,
+seed): one ranking for HEUF and LOCV, one step at a time as far as a run
+walks it for LOICV and HERF.  ``Instance.with_report`` keeps the other
+students' tables, orders included.  With point-mass weight
+distributions the outcome coincides with textbook deferred acceptance on
+the induced strict preferences.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from enum import Enum
 from typing import Union
 
 from .model import Instance, Matching, ValidationError
-from .prob import DEFAULT_SAMPLES, expected_utility, pr_prefers, pr_top
+from .prob import DEFAULT_SAMPLES, _facts, expected_utility, pr_prefers, pr_top
 
 __all__ = ["Strategy", "ComparisonVector", "GdaRound", "GdaTrace", "comparison_vector", "next_college", "run_gda"]
 
@@ -33,6 +42,9 @@ class Strategy(str, Enum):
     LOICV = "loicv"
     HERF = "herf"
 
+
+# rules that score against the colleges not yet rejected rather than all of them
+_ITERATED = (Strategy.LOICV, Strategy.HERF)
 
 ComparisonVector = tuple
 
@@ -50,17 +62,20 @@ def comparison_vector(inst: Instance, s: int, c: int, pool, samples: int = DEFAU
     return tuple(sorted(probs))
 
 
-def _argmax(scores: dict) -> int:
-    """College with the largest score (scalar or comparison vector), ties to
-    the lowest index."""
-    return max(sorted(scores), key=scores.__getitem__)
-
-
-def _locv_order(inst: Instance, s: int, samples: int, seed) -> list[int]:
-    """All colleges by comparison vector over the full set, lexicographically
-    largest first; a stable sort keeps ties at the lowest index."""
-    full = [comparison_vector(inst, s, c, range(inst.m), samples, seed) for c in range(inst.m)]
-    return sorted(range(inst.m), key=full.__getitem__, reverse=True)
+def _ranking(inst: Instance, strategy: Strategy, s: int, rejected, samples: int, seed) -> list[int]:
+    """The colleges not in ``rejected``, best first by the rule's score
+    against its pool: all colleges for HEUF and LOCV, only the remaining
+    ones for LOICV and HERF.  The sort is stable, so ties go to the lowest
+    index."""
+    remaining = [c for c in range(inst.m) if c not in rejected]
+    pool = remaining if strategy in _ITERATED else range(inst.m)
+    if strategy is Strategy.HEUF:
+        scores = {c: expected_utility(inst, s, c) for c in remaining}
+    elif strategy is Strategy.HERF:
+        scores = {c: pr_top(inst, s, c, pool, samples, seed) for c in remaining}
+    else:
+        scores = {c: comparison_vector(inst, s, c, pool, samples, seed) for c in remaining}
+    return sorted(remaining, key=scores.__getitem__, reverse=True)
 
 
 def next_college(
@@ -72,19 +87,20 @@ def next_college(
     seed=None,
 ) -> int:
     """The college student s proposes to next, given the rejections so far."""
-    remaining = [c for c in range(inst.m) if c not in rejected]
-    if not remaining:
+    ranking = _ranking(inst, Strategy(strategy), s, rejected, samples, seed)
+    if not ranking:
         raise ValidationError("every college has already rejected this student")
-    strategy = Strategy(strategy)
-    if strategy is Strategy.HEUF:
-        return _argmax({c: expected_utility(inst, s, c) for c in remaining})
-    if strategy is Strategy.LOCV:
-        return next(c for c in _locv_order(inst, s, samples, seed) if c not in rejected)
-    if strategy is Strategy.LOICV:
-        return _argmax({c: comparison_vector(inst, s, c, remaining, samples, seed) for c in remaining})
-    if strategy is Strategy.HERF:
-        return _argmax({c: pr_top(inst, s, c, remaining, samples, seed) for c in remaining})
-    raise ValidationError(f"unknown strategy: {strategy!r}")
+    return ranking[0]
+
+
+def _extend(inst: Instance, strategy: Strategy, s: int, order: list[int], samples: int, seed) -> None:
+    """Lengthen student s's proposal order: HEUF and LOCV score against a
+    fixed pool, so their whole ranking is the order; LOICV and HERF add one
+    college per step."""
+    if strategy in _ITERATED:
+        order.append(next_college(inst, strategy, s, set(order), samples, seed))
+    else:
+        order.extend(_ranking(inst, strategy, s, (), samples, seed))
 
 
 @dataclass(frozen=True)
@@ -107,50 +123,38 @@ def run_gda(
 ) -> tuple[Matching, GdaTrace]:
     """Run deferred acceptance under the given proposing strategy."""
     strategy = Strategy(strategy)
+    key = (strategy, samples, seed)
+    orders = [_facts(inst, s).orders.setdefault(key, []) for s in range(inst.n)]
+    proposed = [0] * inst.n  # how far each student has walked her order
     assigned: list[Union[int, None]] = [None] * inst.n
-    held: list[set[int]] = [set() for _ in range(inst.m)]
-    rejected: list[set[int]] = [set() for _ in range(inst.n)]
-    unmatched = set(range(inst.n))
-    locv_order = (
-        {s: _locv_order(inst, s, samples, seed) for s in range(inst.n)} if strategy is Strategy.LOCV else {}
-    )
+    held: list[list[int]] = [[] for _ in range(inst.m)]
 
     rounds: list[GdaRound] = []
     while True:
-        proposers = [s for s in sorted(unmatched) if len(rejected[s]) < inst.m]
+        proposers = [s for s in range(inst.n) if assigned[s] is None and proposed[s] < inst.m]
         if not proposers:
             break
-        proposals: dict[int, int] = {}
-        for s in proposers:
-            if strategy is Strategy.LOCV:
-                c = next(c for c in locv_order[s] if c not in rejected[s])
-            else:
-                c = next_college(inst, strategy, s, rejected[s], samples, seed)
-            proposals[s] = c
-
-        round_rejections: list[tuple[int, int]] = []
+        proposals: list[tuple[int, int]] = []
         by_college: dict[int, list[int]] = {}
-        for s, c in proposals.items():
+        for s in proposers:
+            order = orders[s]
+            if proposed[s] == len(order):
+                _extend(inst, strategy, s, order, samples, seed)
+            c = order[proposed[s]]
+            proposed[s] += 1
+            proposals.append((s, c))
             by_college.setdefault(c, []).append(s)
-        for c, newcomers in sorted(by_college.items()):
-            pool = held[c] | set(newcomers)
-            keep = sorted(pool, key=lambda s: inst.college_rank[c][s])[: inst.capacities[c]]
-            for s in sorted(pool - set(keep)):
-                rejected[s].add(c)
-                round_rejections.append((c, s))
-                if assigned[s] == c:
-                    assigned[s] = None
-                unmatched.add(s)
-            held[c] = set(keep)
-            for s in keep:
+
+        rejections: list[tuple[int, int]] = []
+        for c, newcomers in by_college.items():
+            pool = sorted(held[c] + newcomers, key=inst.college_rank[c].__getitem__)
+            held[c] = pool[: inst.capacities[c]]
+            for s in held[c]:
                 assigned[s] = c
-                unmatched.discard(s)
-        rounds.append(
-            GdaRound(
-                proposals=tuple(sorted(proposals.items())),
-                rejections=tuple(sorted(round_rejections)),
-            )
-        )
+            for s in pool[inst.capacities[c] :]:
+                assigned[s] = None
+                rejections.append((c, s))
+        rounds.append(GdaRound(proposals=tuple(proposals), rejections=tuple(sorted(rejections))))
 
     final = Matching(tuple(assigned))
     return final, GdaTrace(rounds=tuple(rounds), final=final)

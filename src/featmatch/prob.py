@@ -11,7 +11,8 @@ path is rational; estimation is never silently substituted.
 
 A student's pairwise facts depend only on her own utilities and weights, so
 they are built once into a per-student table on ``Instance.pair_facts`` (see
-``_facts``); ``Instance.with_report`` keeps the other students' tables.
+``_facts``); ``Instance.with_report`` keeps the other students' tables.  The
+table also holds the student's proposal order under each rule (see ``gda``).
 
 Potential blockers come from one integer cutoff per college and matching
 (``_cutoffs``): n while the college has a free seat, else the worst
@@ -43,7 +44,6 @@ from .model import (
 
 __all__ = [
     "PairwiseCase",
-    "HalfSpace",
     "BlockInterval",
     "stability_interval",
     "ALWAYS",
@@ -62,7 +62,6 @@ __all__ = [
     "pros_exact",
     "pros_monte_carlo",
     "sample_weights",
-    "halfspace_form",
 ]
 
 Prob = Union[Fraction, float]
@@ -97,25 +96,12 @@ class PairwiseCase:
 
 
 @dataclass(frozen=True)
-class HalfSpace:
-    """Linear form of a pairwise preference at any feature count: the event
-    "i beats j" is normal . w_head (<|<=) offset, where w_head drops the
-    last feature's weight.  strict selects < over <=."""
-
-    normal: tuple
-    offset: Fraction
-    strict: bool = True
-
-
-@dataclass(frozen=True)
 class BlockInterval:
     """Closed window of first-feature weights on which a matched student
     participates in no block; its measure is her stability factor."""
 
     lower: Fraction
     upper: Fraction
-    lower_closed: bool = True
-    upper_closed: bool = True
 
     def __post_init__(self):
         if not (0 <= self.lower <= 1 and 0 <= self.upper <= 1):
@@ -157,19 +143,21 @@ def _case_prob(dist: WeightDistribution, case: PairwiseCase) -> Prob:
 class _Facts:
     cases: Union[list, None]  # cases[ci][cj]: case split of "ci strictly beats cj"; two features only
     atoms: Union[list, None]  # discrete only: (probability, exact score of every college) per atom
-    strict: list  # strict[ci][cj] = Pr[ci strictly beats cj]; closed form for beta2, else exact
+    # strict[ci][cj] = Pr[ci strictly beats cj]; closed form for beta2, else exact;
+    # None on the Monte Carlo path (not discrete, not two features)
+    strict: Union[list, None]
     factors: dict = field(default_factory=dict)  # (college, blockers) -> stability factor; see _factor_2f
+    orders: dict = field(default_factory=dict)  # (rule, samples, seed) -> proposal order; see gda
 
 
-def _facts(inst: Instance, s: int) -> Union[_Facts, None]:
-    """Student s's table, built on first use; None when she needs Monte Carlo
-    (not discrete, not two features), which her slot records as False."""
-    slot = inst.pair_facts[s]
-    if slot is not None:
-        return slot or None
+def _facts(inst: Instance, s: int) -> _Facts:
+    """Student s's table, built on first use."""
+    facts = inst.pair_facts[s]
+    if facts is not None:
+        return facts
     dist, k, m = inst.weight_dists[s], inst.num_features, inst.m
     u = inst.utilities[s]
-    cases = atoms = None
+    cases = atoms = strict = None
     if k == 2:
         cases = [[_case(u[0][i], u[1][i], u[0][j], u[1][j]) for j in range(m)] for i in range(m)]
     if isinstance(dist, DiscreteWeights):
@@ -179,9 +167,6 @@ def _facts(inst: Instance, s: int) -> Union[_Facts, None]:
         ]
     elif cases is not None:
         strict = [[_case_prob(dist, case) for case in row] for row in cases]
-    else:
-        inst.pair_facts[s] = False
-        return None
     facts = inst.pair_facts[s] = _Facts(cases, atoms, strict)
     return facts
 
@@ -225,6 +210,8 @@ def _mc_scores(inst: Instance, s: int, samples: int, seed, key: tuple) -> np.nda
     from substream `key` of `seed`, shape (samples, colleges)."""
     if seed is None:
         raise ValidationError("Monte Carlo path requires an explicit seed")
+    if samples < 1:
+        raise ValidationError("sample count must be positive")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
     return sample_weights(inst.weight_dists[s], samples, rng) @ inst.utilities_f64[s]
 
@@ -272,7 +259,7 @@ def pr_prefers(
     if ci == cj:
         raise ValidationError("pairwise probability needs two distinct colleges")
     facts = _facts(inst, s)
-    if facts is not None:
+    if facts.strict is not None:
         return facts.strict[ci][cj] if strict else 1 - facts.strict[cj][ci]
     # stream keyed on the unordered pair so strict(i,j) + weak(j,i) = 1 holds
     # exactly even on the estimated path
@@ -301,7 +288,7 @@ def pr_top(
     if not rivals:
         return Fraction(1)
     facts = _facts(inst, s)
-    if facts is None:
+    if facts.strict is None:
         return _top_fraction(_mc_scores(inst, s, samples, seed, (s, c, 104729)), c, rivals)
     if facts.atoms is not None:
         return sum((p for p, sc in facts.atoms if all(sc[c] >= sc[d] for d in rivals)), Fraction(0))
@@ -447,12 +434,13 @@ def pros_exact_discrete(inst: Instance, matching: Matching) -> ProsResult:
         if match is None:
             factors.append(Fraction(0) if candidates else Fraction(1))
             continue
+        u = inst.utilities[s]
+        # c strictly beats the match at w iff w . gain > 0; a gain with no
+        # positive entry never does, since weights are nonnegative
+        gains = [g for g in ([u[f][c] - u[f][match] for f in range(k)] for c in candidates) if max(g) > 0]
         good = Fraction(0)
         for w, p in inst.weight_dists[s].atoms:
-            sm = sum(w[f] * inst.utility(s, f, match) for f in range(k))
-            if all(
-                sum(w[f] * inst.utility(s, f, c) for f in range(k)) <= sm for c in candidates
-            ):
+            if all(sum(wf * gf for wf, gf in zip(w, g)) <= 0 for g in gains):
                 good += p
         factors.append(good)
     return _product_result(factors)
@@ -516,17 +504,3 @@ def _product_result(factors: Sequence[Prob]) -> ProsResult:
         if f != 1:
             value *= f if exact else float(f)
     return ProsResult(value=value, kind="exact" if exact else "closed_form")
-
-
-# ---------------------------------------------------------------------------
-# halfspace form for |F| >= 3 (used by quadrature oracles and diagnostics)
-# ---------------------------------------------------------------------------
-
-
-def halfspace_form(inst: Instance, s: int, ci: int, cj: int, strict: bool = True) -> HalfSpace:
-    """Linear form with Pr[ci beats cj] = Pr[normal . w_head (<|<=) offset],
-    where w_head drops the last feature's weight (length |F| - 1)."""
-    k = inst.num_features
-    deltas = [inst.utility(s, f, ci) - inst.utility(s, f, cj) for f in range(k)]
-    normal = tuple(deltas[k - 1] - deltas[f] for f in range(k - 1))
-    return HalfSpace(normal=normal, offset=deltas[k - 1], strict=strict)

@@ -101,6 +101,25 @@ def test_exit_codes(tmp_path, ex1_path, capsys):
         bad.write_text(json.dumps(doc))
         assert main(["solve", str(bad), "--strategy", "locv"]) == 2
 
+    capsys.readouterr()
+    three = str(tmp_path / "three.json")
+    assert main(["gen", "--features", "3", "--out", three]) == 0
+    matching = tmp_path / "matching.json"
+    matching.write_text("[1, 2]")
+    csv_out, svg_out = ["--out-csv", str(tmp_path / "e.csv")], ["--out-svg", str(tmp_path / "e.svg")]
+    for argv in (
+        ["solve", three, "--strategy", "loicv", "--samples", "0"],
+        ["solve", three, "--strategy", "herf", "--samples", "-3"],
+        ["pros", ex1_path, "--matching", str(matching)],
+        ["experiment", "--trials", "1", "--sizes", "a,b", *csv_out, *svg_out],
+        ["experiment", "--trials", "1", "--strategies", "foo", *csv_out, *svg_out],
+        ["experiment", "--trials", "1", "--sizes", "3,-2", *csv_out, *svg_out],
+        ["experiment", "--trials", "0", "--sizes", "3", *csv_out, *svg_out],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
+
 
 def test_experiment_determinism_and_schema(tmp_path, capsys):
     args = ["experiment", "--trials", "4", "--sizes", "3", "--seed", "42",

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from featmatch.gda import Strategy, comparison_vector, next_college, run_gda
 from featmatch.instances import gen_random, worked_example
 from featmatch.model import ValidationError
-from featmatch.prob import pros_exact_2f
+from featmatch.oracle import improvement_scan, order_misreports
+from featmatch.prob import pr_prefers, pros_exact_2f
 
 from helpers import induced_strict_prefs, point_mass_instance, reference_da
 
@@ -165,3 +167,89 @@ def test_point_mass_degenerates_to_textbook_da(seed, strategy):
     want = reference_da(induced_strict_prefs(inst), [list(p) for p in inst.college_prefs], list(inst.capacities))
     got, _ = run_gda(inst, strategy)
     assert got.assignment == want
+
+
+# Each student's proposal order lives in her table under (rule, samples,
+# seed).  The checks below compare runs on a warm instance, whose tables
+# already hold orders for other rules and seeds, against runs on a freshly
+# built one, against the step-by-step Next() chain, and against an
+# improvement scan that builds a fresh instance for every misreport.
+
+MEMO_FAMILIES = [
+    (2, "uniform_simplex"),
+    (2, "discrete"),
+    (2, ("beta2", 2.0, 5.0)),
+    (3, "uniform_simplex"),
+]
+MEMO_SETTINGS = [dict(samples=2_000, seed=5), dict(samples=2_000, seed=9)]
+
+
+def _memo_instances(k, dist):
+    return [
+        gen_random(n, m, capacities="spread" if seed % 2 else "ones", num_features=k, dist_kind=dist, seed=seed)
+        for seed, (n, m) in enumerate([(3, 3), (4, 4), (4, 3), (3, 4), (4, 4), (5, 4)])
+    ]
+
+
+def _outcome(inst, rule, setting):
+    matching, trace = run_gda(inst, rule, **setting)
+    return matching.assignment, trace.rounds
+
+
+@pytest.mark.parametrize("k,dist", MEMO_FAMILIES)
+def test_memoized_orders_match_fresh_instances(k, dist):
+    for base in _memo_instances(k, dist):
+        for rule in Strategy:
+            for setting in MEMO_SETTINGS:
+                warm = replace(base)
+                for other_rule in Strategy:
+                    for other in MEMO_SETTINGS:
+                        if (other_rule, other) != (rule, setting):
+                            run_gda(warm, other_rule, **other)
+                assert _outcome(warm, rule, setting) == _outcome(replace(base), rule, setting)
+
+
+@pytest.mark.parametrize("k,dist", MEMO_FAMILIES)
+def test_proposals_follow_the_next_college_chain(k, dist):
+    for inst in _memo_instances(k, dist):
+        for rule in Strategy:
+            for setting in MEMO_SETTINGS:
+                _, trace = run_gda(inst, rule, **setting)
+                fresh = replace(inst)
+                made = [[] for _ in range(inst.n)]
+                for rnd in trace.rounds:
+                    for s, c in rnd.proposals:
+                        assert c == next_college(fresh, rule, s, set(made[s]), **setting)
+                        made[s].append(c)
+
+
+def _cold_scan(inst, rule, setting):
+    """improvement_scan's default space with a freshly built instance for
+    every run and every probability."""
+
+    def fresh(s=None, rows=None):
+        if s is None:
+            return replace(inst)
+        return replace(inst, utilities=inst.utilities[:s] + (rows,) + inst.utilities[s + 1 :])
+
+    truthful, _ = run_gda(fresh(), rule, **setting)
+    tried, improvements = 0, []
+    for s in range(inst.n):
+        old_c = truthful.college_of(s)
+        for label, rows in [*order_misreports(inst), ("truthful", inst.utilities[s])]:
+            tried += 1
+            new_c = run_gda(fresh(s, rows), rule, **setting)[0].college_of(s)
+            if new_c is None or new_c == old_c:
+                continue
+            prob = 1 if old_c is None else pr_prefers(fresh(), s, new_c, old_c, **setting)
+            if prob > 0:
+                improvements.append((s, label, prob))
+    return tried, improvements
+
+
+@pytest.mark.parametrize("k,dist", MEMO_FAMILIES)
+def test_improvement_scan_matches_cold_scan(k, dist):
+    for inst in _memo_instances(k, dist)[:3]:
+        for setting in MEMO_SETTINGS:
+            for rule in Strategy:
+                assert improvement_scan(inst, rule, **setting) == _cold_scan(inst, rule, setting)

@@ -16,7 +16,6 @@ from featmatch.prob import (
     THRESHOLD_ABOVE,
     THRESHOLD_BELOW,
     expected_utility,
-    halfspace_form,
     mean_weight,
     pairwise_case_2f,
     potential_blockers,
@@ -241,21 +240,15 @@ def test_mc_pairwise_swap_identity_exact():
     assert s + w == 1.0
 
 
-def test_halfspace_form_matches_direct_scoring():
+@pytest.mark.parametrize("samples", [0, -5])
+def test_estimators_reject_bad_sample_counts(samples):
     nt = non_transitive()
-    rng = np.random.default_rng(17)
-    u = nt.utilities_f64[0]
-    for ci in range(3):
-        for cj in range(3):
-            if ci == cj:
-                continue
-            hs = halfspace_form(nt, 0, ci, cj)
-            normal = np.array([float(x) for x in hs.normal])
-            e = rng.exponential(size=(2000, 3))
-            w = e / e.sum(axis=1, keepdims=True)
-            scores = w @ u
-            lhs = w[:, :2] @ normal < float(hs.offset)
-            assert np.array_equal(lhs, scores[:, ci] > scores[:, cj])
+    with pytest.raises(ValidationError, match="sample count"):
+        pr_prefers(nt, 0, 0, 1, samples=samples, seed=3)
+    with pytest.raises(ValidationError, match="sample count"):
+        pr_top(nt, 0, 0, range(3), samples=samples, seed=3)
+    with pytest.raises(ValidationError, match="sample count"):
+        pros_monte_carlo(nt, Matching((0,)), samples=samples, seed=3)
 
 
 def test_three_feature_estimates_match_quadrature():
