@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
@@ -38,6 +39,8 @@ __all__ = [
     "ProsResult",
     "parse_rational",
     "format_rational",
+    "integer_matrix",
+    "integer_matmul",
     "parse_instance",
     "serialize_instance",
     "instance_from_dict",
@@ -96,6 +99,45 @@ def format_rational(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+# Exact integer kernels.  Rational rows times one common denominator are
+# integer matrices whose products and sums are exact.  They are int64 only
+# while a magnitude bound proves that no value on the way can overflow, and
+# Python ints (dtype object) otherwise: just as exact, only slower.
+
+_INT64_MAX = 2**63 - 1
+
+
+def _int_dtype(bound: int):
+    return np.int64 if bound <= _INT64_MAX else object
+
+
+def _max_abs(a: np.ndarray) -> int:
+    return int(abs(a).max()) if a.size else 0
+
+
+def integer_matrix(rows) -> tuple[np.ndarray, int]:
+    """``(A, d)`` with ``A / d == rows`` exactly: one common denominator d for
+    a matrix of rationals (ints or Fractions; a float or bool raises
+    ValidationError).  A is int64 when d and every sum of its entries fit."""
+    rows = [list(row) for row in rows]
+    for row in rows:
+        for x in row:
+            if type(x) not in (int, Fraction):  # no float, bool or fixed-width int
+                raise ValidationError(f"expected an exact rational (int or Fraction), got {x!r}")
+    d = math.lcm(*(x.denominator for row in rows for x in row))
+    ints = [[x.numerator * (d // x.denominator) for x in row] for row in rows]
+    a = np.array(ints, dtype=object)
+    return a.astype(_int_dtype(max(d, a.size * _max_abs(a))), copy=False), d
+
+
+def integer_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` exactly for integer arrays: int64 when both inputs and the
+    inner dimension times their largest magnitudes fit, else in Python ints."""
+    ma, mb = _max_abs(a), _max_abs(b)
+    dtype = _int_dtype(max(ma, mb, a.shape[-1] * ma * mb))
+    return a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
+
+
 # ---------------------------------------------------------------------------
 # weight distributions
 # ---------------------------------------------------------------------------
@@ -145,8 +187,13 @@ class UniformSimplex:
 
 @dataclass(frozen=True)
 class DiscreteWeights:
-    """Finite support over weight vectors; probabilities are exact rationals.
-    Every support vector lies exactly on the simplex."""
+    """Finite support over weight vectors; probabilities are exact rationals
+    (ints or Fractions).  Every support vector lies exactly on the simplex.
+
+    ``kernel`` is the support as integers, ``(W, dw, P, dp)``: ``W / dw``
+    holds the support vectors (one row per atom) and ``P / dp`` their
+    probabilities (see ``integer_matrix``).  Every method reads it, and
+    ``mass(mask)`` is the probability of a boolean selection of atoms."""
 
     atoms: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
     exact: ClassVar[bool] = True
@@ -155,40 +202,55 @@ class DiscreteWeights:
         if not self.atoms:
             raise ValidationError("discrete distribution needs at least one atom")
         dim = len(self.atoms[0][0])
-        total = Fraction(0)
-        for w, p in self.atoms:
-            if len(w) != dim:
-                raise ValidationError("distribution dimension mismatch: ragged support")
-            if p <= 0:
+        if any(len(w) != dim for w, _ in self.atoms):
+            raise ValidationError("distribution dimension mismatch: ragged support")
+        W, dw, P, dp = self.kernel
+        nonpositive, negative = P <= 0, (W < 0).any(axis=1)
+        faulty = np.flatnonzero(nonpositive | negative | (W.sum(axis=1) != dw))
+        if faulty.size:  # the first faulty atom's first fault
+            i = faulty[0]
+            if nonpositive[i]:
                 raise ValidationError("probabilities must sum to 1 and be positive")
-            total += p
-            if any(x < 0 for x in w):
-                raise ValidationError(f"support vector has a negative weight: {w}")
-            if sum(w) != 1:
-                raise ValidationError(f"support vector does not sum to 1: {w}")
-        if total != 1:
+            if negative[i]:
+                raise ValidationError(f"support vector has a negative weight: {self.atoms[i][0]}")
+            raise ValidationError(f"support vector does not sum to 1: {self.atoms[i][0]}")
+        if P.sum() != dp:
             raise ValidationError("probabilities must sum to 1")
+
+    @cached_property
+    def kernel(self) -> tuple[np.ndarray, int, np.ndarray, int]:
+        W, dw = integer_matrix(w for w, _ in self.atoms)
+        (P,), dp = integer_matrix([[p for _, p in self.atoms]])
+        return W, dw, P, dp
+
+    def mass(self, mask) -> Fraction:
+        """Probability of the atoms that a boolean mask selects."""
+        _, _, P, dp = self.kernel
+        return Fraction(int(P[mask].sum()), dp)
 
     @property
     def dim(self) -> int:
         return len(self.atoms[0][0])
 
-    @property
+    @cached_property
     def mean(self) -> tuple[Fraction, ...]:
-        return tuple(sum((p * w[f] for w, p in self.atoms), Fraction(0)) for f in range(self.dim))
+        W, dw, P, dp = self.kernel
+        return tuple(Fraction(int(x), dw * dp) for x in integer_matmul(P, W))
 
     def expected(self, values) -> Fraction:
-        return sum((p * sum(x * v for x, v in zip(w, values)) for w, p in self.atoms), Fraction(0))
+        # w . values is linear in w, so its expectation is mean . values
+        return sum((m * v for m, v in zip(self.mean, values)), Fraction(0))
 
     def w1_measure(self, lo, hi, open_lo: bool = False, open_hi: bool = False) -> Fraction:
-        return sum(
-            (
-                p
-                for w, p in self.atoms
-                if (lo < w[0] if open_lo else lo <= w[0]) and (w[0] < hi if open_hi else w[0] <= hi)
-            ),
-            Fraction(0),
-        )
+        W, dw, _, _ = self.kernel
+        lo, hi = Fraction(lo), Fraction(hi)
+        # w_f1 = W[:, 0] / dw against an end n / d is W[:, 0] * d against n * dw;
+        # support weights are at most 1, so W[:, 0] * d is at most dw * d
+        bound = dw * max(lo.denominator, hi.denominator, abs(lo.numerator), abs(hi.numerator))
+        w1 = W[:, 0].astype(_int_dtype(bound), copy=False)
+        above = (operator.gt if open_lo else operator.ge)(w1 * lo.denominator, lo.numerator * dw)
+        below = (operator.lt if open_hi else operator.le)(w1 * hi.denominator, hi.numerator * dw)
+        return self.mass(above & below)
 
     def sample(self, k: int, rng: np.random.Generator) -> np.ndarray:
         probs = np.array([float(p) for _, p in self.atoms])
@@ -529,6 +591,16 @@ def _parse_shape(value, sid: str) -> float:
     raise ParseError(f"malformed document: bad beta2 shape parameter {value!r} for {sid!r}")
 
 
+def _document_key(doc):
+    """Equal keys for equal JSON documents.  Unlike ``==``, the JSON text
+    keeps ``true`` apart from ``1``; a document that is not plain JSON gets a
+    key of its own."""
+    try:
+        return json.dumps(doc, sort_keys=True)
+    except (TypeError, ValueError):
+        return object()
+
+
 def _object(value, where: str) -> dict:
     if not isinstance(value, dict):
         raise ParseError(f"malformed document: {where} must be an object")
@@ -601,11 +673,16 @@ def instance_from_dict(doc: Mapping) -> Instance:
             per_feature.append(tuple(row))
         utilities.append(tuple(per_feature))
 
-    dists = []
+    # students with equal distribution documents share one parsed object, so
+    # its kernel and checks run once
+    dists, parsed = [], {}
     for s in students:
         if s not in dists_doc:
             raise ParseError(f"malformed document: missing weight distribution for {s!r}")
-        dists.append(_dist_from_dict(dists_doc[s], len(features), s))
+        key = _document_key(dists_doc[s])
+        if key not in parsed:
+            parsed[key] = _dist_from_dict(dists_doc[s], len(features), s)
+        dists.append(parsed[key])
 
     return Instance(
         students=students,

@@ -14,6 +14,13 @@ they are built once into a per-student table on ``Instance.pair_facts`` (see
 ``_facts``); ``Instance.with_report`` keeps the other students' tables.  The
 table also holds the student's proposal order under each rule (see ``gda``).
 
+Discrete weights are evaluated on integers.  A distribution's ``kernel``
+holds its support as ``W / dw`` and its probabilities as ``P / dp``, and a
+student's utilities are ``U / du`` (``model.integer_matrix``), so the atom
+scores ``W @ U`` are exact integers and an event over atoms has probability
+``DiscreteWeights.mass(mask)``, an integer sum over ``dp``.  The strict
+table, ``pr_top`` and ``pros_exact_discrete`` all go through it.
+
 Potential blockers come from one integer cutoff per college and matching
 (``_cutoffs``): n while the college has a free seat, else the worst
 ``college_rank`` among its enrollees; college c can block with student s iff
@@ -40,6 +47,8 @@ from .model import (
     ProsResult,
     ValidationError,
     WeightDistribution,
+    integer_matmul,
+    integer_matrix,
 )
 
 __all__ = [
@@ -142,7 +151,9 @@ def _case_prob(dist: WeightDistribution, case: PairwiseCase) -> Prob:
 @dataclass(frozen=True)
 class _Facts:
     cases: Union[list, None]  # cases[ci][cj]: case split of "ci strictly beats cj"; two features only
-    atoms: Union[list, None]  # discrete only: (probability, exact score of every college) per atom
+    # discrete only: the exact integer score matrix W @ U, atoms x colleges, for
+    # the support W / dw and the utilities U / du (see DiscreteWeights.kernel)
+    atoms: Union[np.ndarray, None]
     # strict[ci][cj] = Pr[ci strictly beats cj]; closed form for beta2, else exact;
     # None on the Monte Carlo path (not discrete, not two features)
     strict: Union[list, None]
@@ -161,10 +172,8 @@ def _facts(inst: Instance, s: int) -> _Facts:
     if k == 2:
         cases = [[_case(u[0][i], u[1][i], u[0][j], u[1][j]) for j in range(m)] for i in range(m)]
     if isinstance(dist, DiscreteWeights):
-        atoms = [(p, [sum(w[f] * u[f][c] for f in range(k)) for c in range(m)]) for w, p in dist.atoms]
-        strict = [
-            [sum((p for p, sc in atoms if sc[i] > sc[j]), Fraction(0)) for j in range(m)] for i in range(m)
-        ]
+        atoms = integer_matmul(dist.kernel[0], integer_matrix(u)[0])
+        strict = [[dist.mass(atoms[:, i] > atoms[:, j]) for j in range(m)] for i in range(m)]
     elif cases is not None:
         strict = [[_case_prob(dist, case) for case in row] for row in cases]
     facts = inst.pair_facts[s] = _Facts(cases, atoms, strict)
@@ -279,7 +288,7 @@ def pr_top(
 
     For two features the per-opponent weak events are threshold intervals on
     the first feature's weight, so the answer is the measure of their
-    intersection; discrete supports are enumerated at any dimension.
+    intersection; discrete supports are scored atom by atom at any dimension.
     """
     pool = sorted(set(pool))
     if c not in pool:
@@ -291,7 +300,7 @@ def pr_top(
     if facts.strict is None:
         return _top_fraction(_mc_scores(inst, s, samples, seed, (s, c, 104729)), c, rivals)
     if facts.atoms is not None:
-        return sum((p for p, sc in facts.atoms if all(sc[c] >= sc[d] for d in rivals)), Fraction(0))
+        return inst.weight_dists[s].mass((facts.atoms[:, [c]] >= facts.atoms[:, rivals]).all(axis=1))
     window = _window(facts, c, rivals)
     dist = inst.weight_dists[s]
     if window is None:
@@ -422,11 +431,12 @@ def pros_exact_2f(inst: Instance, matching: Matching) -> ProsResult:
 
 def pros_exact_discrete(inst: Instance, matching: Matching) -> ProsResult:
     """Exact stability probability when every student has discrete weights:
-    enumerate each student's support and count the no-block atoms."""
+    the mass of each student's no-block atoms, scored afresh on every call
+    through her distribution's integer kernel (no memo, so this stays
+    independent of ``pros_exact_2f``)."""
     if not all(isinstance(d, DiscreteWeights) for d in inst.weight_dists):
         raise ValidationError("discrete path requires discrete weights for every student")
     _require_feasible(inst, matching)
-    k = inst.num_features
     cutoffs = _cutoffs(inst, matching)
     factors = []
     for s, match in enumerate(matching.assignment):
@@ -434,15 +444,11 @@ def pros_exact_discrete(inst: Instance, matching: Matching) -> ProsResult:
         if match is None:
             factors.append(Fraction(0) if candidates else Fraction(1))
             continue
-        u = inst.utilities[s]
-        # c strictly beats the match at w iff w . gain > 0; a gain with no
-        # positive entry never does, since weights are nonnegative
-        gains = [g for g in ([u[f][c] - u[f][match] for f in range(k)] for c in candidates) if max(g) > 0]
-        good = Fraction(0)
-        for w, p in inst.weight_dists[s].atoms:
-            if all(sum(wf * gf for wf, gf in zip(w, g)) <= 0 for g in gains):
-                good += p
-        factors.append(good)
+        dist = inst.weight_dists[s]
+        u, _ = integer_matrix(inst.utilities[s])
+        # c strictly beats the match at w iff w . (u_c - u_match) > 0
+        gains = integer_matmul(dist.kernel[0], u[:, list(candidates)] - u[:, [match]])
+        factors.append(dist.mass((gains <= 0).all(axis=1)))
     return _product_result(factors)
 
 

@@ -4,9 +4,9 @@ Nothing here imports the code paths it is used to check: the reference
 deferred acceptance is a plain sequential textbook loop, the blocker oracle
 reads college preference lists directly, the stability oracles evaluate
 block events directly at sampled/grid weights, the atom oracles score every
-support atom afresh, and the triangle quadrature integrates the
-three-feature preference regions numerically.  The malformed-document list
-is shared by the parser and CLI exit-code tests.
+support atom afresh in Fraction arithmetic, and the triangle quadrature
+integrates the three-feature preference regions numerically.  The
+malformed-document list is shared by the parser and CLI exit-code tests.
 """
 
 from __future__ import annotations
@@ -137,6 +137,26 @@ def atom_top(inst: Instance, s: int, c: int, pool) -> F:
         sc = _atom_score(w, inst.utilities[s], c)
         if all(sc >= _atom_score(w, inst.utilities[s], d) for d in pool):
             total += p
+    return total
+
+
+def atom_pros(inst: Instance, matching) -> F:
+    """Stability probability of a matching when every student has discrete
+    weights: per student, the probability of her support atoms at which no
+    textbook blocker strictly beats her match (w . gain > 0), multiplied."""
+    total = F(1)
+    for s, match in enumerate(matching.assignment):
+        candidates = textbook_blockers(inst, matching, s)
+        if match is None:
+            total *= F(0) if candidates else F(1)
+            continue
+        u = inst.utilities[s]
+        gains = [[row[c] - row[match] for row in u] for c in candidates]
+        good = F(0)
+        for w, p in inst.weight_dists[s].atoms:
+            if all(sum(wf * gf for wf, gf in zip(w, g)) <= 0 for g in gains):
+                good += p
+        total *= good
     return total
 
 

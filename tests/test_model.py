@@ -93,6 +93,24 @@ def test_discrete_probabilities_must_sum_to_one():
         parse_instance(json.dumps(doc))
 
 
+def test_equal_distribution_documents_are_parsed_once():
+    doc = json.loads(json.dumps(EX1_JSON))
+    for sid in ("s1", "s2"):
+        doc["weight_dists"][sid] = {"type": "discrete", "support": [{"w": ["1/4", "3/4"], "p": 1}]}
+    doc["weight_dists"]["s3"] = {"support": [{"p": 1, "w": ["1/4", "3/4"]}], "type": "discrete"}
+    dists = parse_instance(json.dumps(doc)).weight_dists
+    assert dists[0] is dists[1] is dists[2]
+    # true == 1 in Python, but a true-for-1 copy is parsed on its own and fails
+    doc["weight_dists"]["s2"]["support"][0]["p"] = True
+    with pytest.raises(ParseError, match="expected a rational, got True"):
+        parse_instance(json.dumps(doc))
+    # an error in a shared document names the first student that has it
+    for sid in ("s1", "s2", "s3"):
+        doc["weight_dists"][sid] = {"type": "discrete", "support": [{"w": ["1/4", "3/4"]}]}
+    with pytest.raises(ParseError, match="bad discrete support for 's1'"):
+        parse_instance(json.dumps(doc))
+
+
 def test_utility_range_and_preference_completeness():
     doc = json.loads(json.dumps(EX1_JSON))
     doc["utilities"]["s1"]["f1"]["c1"] = "1.5"
@@ -143,6 +161,21 @@ def test_distribution_invariants():
         DiscreteWeights((((F(1, 2), F(1, 4)), F(1)),))  # support not on the simplex
     with pytest.raises(ValidationError, match="does not sum to 1"):
         DiscreteWeights((((F(1, 2), F(1, 2) + F(1, 10**10)), F(1)),))  # support must sum to exactly 1
+    with pytest.raises(ValidationError, match="must sum to 1 and be positive"):
+        DiscreteWeights((((F(1, 2), F(1, 2)), F(0)), ((F(1), F(0)), F(1))))
+    # the first faulty atom is named, as a scan in atom order finds it
+    with pytest.raises(ValidationError, match=r"negative weight: \(Fraction\(3, 2\), Fraction\(-1, 2\)\)"):
+        DiscreteWeights((((1, 0), F(1, 2)), ((F(3, 2), F(-1, 2)), F(1, 4)), ((F(1, 4), F(1, 4)), F(1, 4))))
+    # only exact rationals: a float or bool would make mean and mass inexact
+    with pytest.raises(ValidationError, match="exact rational"):
+        DiscreteWeights((((0.25, 0.75), F(1, 2)), ((F(1), F(0)), 0.5)))
+    with pytest.raises(ValidationError, match="exact rational"):
+        DiscreteWeights((((F(1, 4), F(3, 4)), F(1, 2)), ((F(1), F(0)), 0.5)))
+    with pytest.raises(ValidationError, match="exact rational"):
+        DiscreteWeights((((True, F(0)), F(1)),))
+    with pytest.raises(ValidationError, match="exact rational"):
+        DiscreteWeights((((F(1), F(0)), True),))
+    assert DiscreteWeights((((1, 0), 1),)).mean == (F(1), F(0))
     with pytest.raises(ValidationError):
         BetaWeights(alpha=0.0, beta=2.0)
     with pytest.raises(ValidationError, match="finite"):

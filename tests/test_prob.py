@@ -31,7 +31,14 @@ from featmatch.gda import Strategy, run_gda
 from featmatch.instances import gen_random, non_transitive, worked_example
 from featmatch.oracle import enumerate_matchings
 
-from helpers import atom_prefers, atom_top, grid_pros, textbook_blockers, triangle_quadrature_strict
+from helpers import (
+    atom_prefers,
+    atom_pros,
+    atom_top,
+    grid_pros,
+    textbook_blockers,
+    triangle_quadrature_strict,
+)
 
 
 def with_dist(inst: Instance, s: int, dist) -> Instance:
@@ -591,3 +598,110 @@ def test_kernel_reference_values():
     assert prob._noblock_fraction(scores, 0, np.array([], dtype=np.int64)) == 1.0
     assert prob._strict_fraction(scores, 0, 1) == pytest.approx(1 / 3)
     assert prob._top_fraction(scores, 0, cand) == pytest.approx(2 / 3)
+
+
+# ---------------------------------------------------------------------------
+# the integer atom kernel against per-atom Fraction oracles
+# ---------------------------------------------------------------------------
+
+BIG_PRIMES = (999_983, 1_000_003, 1_000_033, 1_000_037)
+
+
+def _grid_atoms(rng, features: int, denominator: int) -> DiscreteWeights:
+    """One to five atoms with weights on a 1/denominator grid and random probabilities."""
+    raw = [int(x) for x in rng.integers(1, 5, int(rng.integers(1, 6)))]
+    weights = [rng.multinomial(denominator, [1 / features] * features) for _ in raw]
+    return DiscreteWeights(
+        tuple((tuple(F(int(x), denominator) for x in w), F(r, sum(raw))) for w, r in zip(weights, raw))
+    )
+
+
+def _quarter_grid(base: Instance, rng, denominator: int) -> Instance:
+    """Utilities on a quarter grid and atoms on a 1/denominator grid, so that
+    w . gain = 0 at many atoms."""
+    k = base.num_features
+    utilities = tuple(
+        tuple(tuple(F(int(x), 4) for x in rng.integers(0, 5, base.m)) for _ in range(k))
+        for _ in range(base.n)
+    )
+    dists = tuple(_grid_atoms(rng, k, denominator) for _ in range(base.n))
+    return replace(base, utilities=utilities, weight_dists=dists)
+
+
+def _atom_family(kind: str, seed: int) -> Instance:
+    rng = np.random.default_rng(seed)
+    if kind == "grid-200":
+        base = gen_random(4, 4, seed=seed)
+        points = tuple(F(2 * i + 1, 400) for i in range(200))
+        grid = DiscreteWeights(tuple(((x, 1 - x), F(1, 200)) for x in points))
+        return replace(base, weight_dists=(grid,) * base.n)
+    if kind == "big-denominator":
+        # w1 = 1/p for four primes near 10**6, so the common denominator
+        # passes 2**63; student 0's colleges 0 and 1 tie exactly at w1 = 1/p0
+        base = gen_random(3, 3, seed=seed)
+        probs = [F(int(x), 1_000_003) for x in rng.integers(1, 250_000, 3)]
+        probs.append(1 - sum(probs))
+        dist = DiscreteWeights(tuple(((F(1, p), 1 - F(1, p)), q) for p, q in zip(BIG_PRIMES, probs)))
+        u, half = base.utilities[0], F(1, 2 * BIG_PRIMES[0])
+        tie = ((F(1, 2), half, u[0][2]), (F(0), half, u[1][2]))
+        return replace(base, utilities=(tie,) + base.utilities[1:], weight_dists=(dist,) * base.n)
+    features = 2 if kind == "quarter-2f" else 3
+    return _quarter_grid(gen_random(3, 4, num_features=features, dist_kind="discrete", seed=seed), rng, 8)
+
+
+def _check_atom_kernel(inst: Instance, matchings) -> None:
+    for s in range(inst.n):
+        dist = inst.weight_dists[s]
+        atoms = dist.atoms
+        mean = tuple(sum((p * w[f] for w, p in atoms), F(0)) for f in range(dist.dim))
+        assert dist.mean == mean and all(type(x) is F for x in dist.mean)
+        for c in range(inst.m):
+            values = [row[c] for row in inst.utilities[s]]
+            plain = sum((p * sum(x * v for x, v in zip(w, values)) for w, p in atoms), F(0))
+            got = expected_utility(inst, s, c)
+            assert got == plain and type(got) is F
+        for ci, cj in itertools.permutations(range(inst.m), 2):
+            for strict in (True, False):
+                assert pr_prefers(inst, s, ci, cj, strict) == atom_prefers(inst, s, ci, cj, strict)
+        for size in range(2, inst.m + 1):
+            for pool in itertools.combinations(range(inst.m), size):
+                for c in pool:
+                    assert pr_top(inst, s, c, pool) == atom_top(inst, s, c, pool)
+        if dist.dim == 2:
+            # ends landing exactly on atoms, open and closed
+            ends = {F(0), F(1), F(1, 2), mean[0]} | {w[0] for w, _ in atoms[:3] + atoms[-2:]}
+            for lo, hi in itertools.product(sorted(ends), repeat=2):
+                for open_lo, open_hi in itertools.product((False, True), repeat=2):
+                    inside = [
+                        (lo < w[0] if open_lo else lo <= w[0]) and (w[0] < hi if open_hi else w[0] <= hi)
+                        for w, _ in atoms
+                    ]
+                    plain = sum((p for (_, p), hit in zip(atoms, inside) if hit), F(0))
+                    got = dist.w1_measure(lo, hi, open_lo, open_hi)
+                    assert got == plain and type(got) is F
+    for matching in matchings:
+        result = pros_exact_discrete(inst, matching)
+        assert result.kind == "exact" and type(result.value) is F
+        assert result.value == atom_pros(inst, matching)
+
+
+@pytest.mark.parametrize("kind", ["quarter-2f", "quarter-3f", "grid-200", "big-denominator"])
+def test_atom_kernel_matches_fraction_oracles(kind):
+    for seed in range({"grid-200": 1, "big-denominator": 3}.get(kind, 4)):
+        inst = _atom_family(kind, 3100 + seed)
+        # the big denominators leave int64 for Python ints; the others fit
+        assert (inst.weight_dists[0].kernel[0].dtype == object) == (kind == "big-denominator")
+        matchings = list(enumerate_matchings(inst))
+        _check_atom_kernel(inst, matchings[:: 9 if kind == "grid-200" else 1])
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    features=st.sampled_from([2, 3]),
+    denominator=st.sampled_from([2, 4, 6, 12, 999_983]),
+)
+def test_atom_kernel_property(seed, features, denominator):
+    base = gen_random(3, 3, num_features=features, dist_kind="discrete", seed=seed)
+    inst = _quarter_grid(base, np.random.default_rng(seed), denominator)
+    _check_atom_kernel(inst, enumerate_matchings(inst))
