@@ -5,11 +5,24 @@ incentive audits and transitivity checks.
 The audits try a finite misreport space (all deterministic strict orders,
 encoded as identical utility columns), so "no violation found" is evidence
 against manipulability, not a certification over the infinite report space.
+
+The default space is scanned by menus.  A GDA run is textbook deferred
+acceptance over fixed proposal orders (see ``gda``), and every other
+student's order lives in her own table, so it does not depend on what
+student s reports.  Student-proposing deferred acceptance is strategy-proof
+for students (Dubins & Freedman 1981), so with the others fixed, s's outcome
+under any report is her favourite college, by that report, in a menu that
+her report does not change (Hammond 1979, the taxation principle).  A
+deterministic strict-order report has 0/1 pairwise probabilities, so under
+every rule her proposal order is exactly that order.  Hence one rerun per
+college finds the menu: c is in it iff s gets c when she ranks c first.
+Each of the m! orders then gets its first college in the menu, or nothing.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
@@ -183,16 +196,24 @@ class IcAuditReport:
         return not self.violations
 
 
+def _order_rows(inst: Instance, perm) -> tuple:
+    """The deterministic strict order ``perm`` (best first) as a utility
+    table with identical columns across features valued (m - rank)/m."""
+    row = [Fraction(0)] * inst.m
+    for rank, c in enumerate(perm):
+        row[c] = Fraction(inst.m - rank, inst.m)
+    return (tuple(row),) * inst.num_features
+
+
+def _order_label(inst: Instance, perm) -> str:
+    return ">".join(inst.colleges[c] for c in perm)
+
+
 def order_misreports(inst: Instance) -> Iterator[tuple[str, tuple]]:
     """All m! deterministic strict orders over colleges, as utility tables
     with identical columns across features valued (m - rank)/m, best first."""
-    m, k = inst.m, inst.num_features
-    for perm in itertools.permutations(range(m)):
-        label = ">".join(inst.colleges[c] for c in perm)
-        row = [Fraction(0)] * m
-        for rank, c in enumerate(perm):
-            row[c] = Fraction(m - rank, m)
-        yield label, tuple(tuple(row) for _ in range(k))
+    for perm in itertools.permutations(range(inst.m)):
+        yield _order_label(inst, perm), _order_rows(inst, perm)
 
 
 def _improvement_prob(inst: Instance, s: int, new_c, old_c, samples, seed):
@@ -207,6 +228,19 @@ def _improvement_prob(inst: Instance, s: int, new_c, old_c, samples, seed):
     return pr_prefers(inst, s, new_c, old_c, strict=True, samples=samples, seed=seed)
 
 
+def _menu(inst: Instance, strategy: Strategy, s: int, samples, seed) -> set[int]:
+    """The colleges student s can get by some report, the others' reports
+    fixed: c is in it iff she gets c when her report ranks c first and the
+    other colleges after it by index."""
+    menu = set()
+    for c in range(inst.m):
+        perm = [c] + [d for d in range(inst.m) if d != c]
+        outcome, _ = run_gda(inst.with_report(s, _order_rows(inst, perm)), strategy, samples=samples, seed=seed)
+        if outcome.college_of(s) == c:
+            menu.add(c)
+    return menu
+
+
 def improvement_scan(
     inst: Instance,
     strategy: Strategy,
@@ -215,33 +249,48 @@ def improvement_scan(
     samples: int = DEFAULT_SAMPLES,
     seed: Union[int, None] = None,
 ) -> tuple[int, list[tuple[int, str, Union[Fraction, float]]]]:
-    """Rerun the mechanism under each misreport of each student; return the
-    number of reruns and every (student, misreport, improvement probability)
-    with positive improvement probability under the true preferences.
+    """The number of misreports tried and every (student, misreport,
+    improvement probability) with positive improvement probability under
+    the true preferences, student by student in misreport order.
 
     The default space is every deterministic strict order plus the student's
-    own truthful report (a sanity anchor whose improvement is always 0)."""
-    shared = list(order_misreports(inst)) if misreport_space is None else list(misreport_space)
-    per_student = 1 if misreport_space is None else 0
-    if inst.n * (len(shared) + per_student) > budget:
+    own truthful report (a sanity anchor whose outcome is the truthful one).
+    It is scanned by menus (see the module docstring): m reruns per student
+    instead of m! + 1, since with the others' reports fixed her outcome under
+    any report is her favourite college in her menu (Dubins & Freedman 1981;
+    Hammond 1979).  A caller-supplied ``misreport_space`` reruns the
+    mechanism under each of its reports."""
+    if misreport_space is None:
+        reports = math.factorial(inst.m) + 1
+    else:
+        shared = list(itertools.islice(misreport_space, budget + 1))
+        reports = len(shared)
+    if inst.n * reports > budget:
         raise BudgetExceededError(
-            f"misreport space too large: {inst.n} students x {len(shared) + per_student} "
-            f"reports > budget {budget}"
+            f"misreport space too large: {inst.n} students x {reports} reports > budget {budget}"
         )
     truthful, _ = run_gda(inst, strategy, samples=samples, seed=seed)
     improvements = []
-    tried = 0
     for s in range(inst.n):
         old_c = truthful.college_of(s)
-        space = shared + ([("truthful", inst.utilities[s])] if per_student else [])
-        for label, rows in space:
-            tried += 1
-            altered = inst.with_report(s, rows)
-            outcome, _ = run_gda(altered, strategy, samples=samples, seed=seed)
-            prob = _improvement_prob(inst, s, outcome.college_of(s), old_c, samples, seed)
-            if prob > 0:
-                improvements.append((s, label, prob))
-    return tried, improvements
+        if misreport_space is None:
+            menu = _menu(inst, strategy, s, samples, seed)
+            outcomes = (
+                (_order_label(inst, perm), next((c for c in perm if c in menu), None))
+                for perm in itertools.permutations(range(inst.m))
+            )
+        else:
+            outcomes = (
+                (label, run_gda(inst.with_report(s, rows), strategy, samples=samples, seed=seed)[0].college_of(s))
+                for label, rows in shared
+            )
+        probs = {}  # new college -> improvement probability
+        for label, new_c in outcomes:
+            if new_c not in probs:
+                probs[new_c] = _improvement_prob(inst, s, new_c, old_c, samples, seed)
+            if probs[new_c] > 0:
+                improvements.append((s, label, probs[new_c]))
+    return inst.n * reports, improvements
 
 
 def audit_ic(

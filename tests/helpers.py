@@ -4,19 +4,25 @@ Nothing here imports the code paths it is used to check: the reference
 deferred acceptance is a plain sequential textbook loop, the blocker oracle
 reads college preference lists directly, the stability oracles evaluate
 block events directly at sampled/grid weights, the atom oracles score every
-support atom afresh in Fraction arithmetic, and the triangle quadrature
-integrates the three-feature preference regions numerically.  The
-malformed-document list is shared by the parser and CLI exit-code tests.
+support atom afresh in Fraction arithmetic, the triangle quadrature
+integrates the three-feature preference regions numerically, and the
+full-rerun scan reruns GDA under every misreport on a freshly built
+instance.  The malformed-document list is shared by the parser and CLI
+exit-code tests.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
 
+from featmatch.gda import run_gda
 from featmatch.model import DiscreteWeights, Instance, ParseError, ValidationError
+from featmatch.oracle import order_misreports
+from featmatch.prob import pr_prefers
 
 
 def reference_da(student_prefs, college_prefs, capacities):
@@ -91,6 +97,31 @@ def textbook_blockers(inst: Instance, matching, s: int) -> list[int]:
         if len(enrolled) < inst.capacities[c] or any(order.index(t) > order.index(s) for t in enrolled):
             out.append(c)
     return out
+
+
+def full_rerun_scan(inst: Instance, rule, setting) -> tuple:
+    """improvement_scan's default space without menus: GDA rerun under each
+    strict order and the truthful anchor of each student, on a freshly built
+    instance for every run and every probability, so no table is shared."""
+
+    def fresh(s=None, rows=None):
+        if s is None:
+            return replace(inst)
+        return replace(inst, utilities=inst.utilities[:s] + (rows,) + inst.utilities[s + 1 :])
+
+    truthful, _ = run_gda(fresh(), rule, **setting)
+    tried, improvements = 0, []
+    for s in range(inst.n):
+        old_c = truthful.college_of(s)
+        for label, rows in [*order_misreports(inst), ("truthful", inst.utilities[s])]:
+            tried += 1
+            new_c = run_gda(fresh(s, rows), rule, **setting)[0].college_of(s)
+            if new_c is None or new_c == old_c:
+                continue
+            prob = 1 if old_c is None else pr_prefers(fresh(), s, new_c, old_c, **setting)
+            if prob > 0:
+                improvements.append((s, label, prob))
+    return tried, improvements
 
 
 def grid_pros(inst: Instance, matching, points: int = 10_000) -> float:

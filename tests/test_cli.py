@@ -86,6 +86,15 @@ def test_audit_command(ex1_path, capsys):
     assert "violations: none" in out and "misreports tried: 21" in out
 
 
+def test_audit_budget_exit_code(tmp_path, capsys):
+    # 2 students x (9! + 1) reports exceed the default budget: exit 3 at once
+    path = str(tmp_path / "wide.json")
+    assert main(["gen", "--students", "2", "--colleges", "9", "--seed", "1", "--out", path]) == 0
+    capsys.readouterr()
+    assert main(["audit-ic", path, "--strategy", "heuf"]) == 3
+    assert "misreport space too large" in capsys.readouterr().err
+
+
 def test_exit_codes(tmp_path, ex1_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")

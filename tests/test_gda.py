@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -6,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from featmatch.gda import Strategy, comparison_vector, next_college, run_gda
+from featmatch.gda import Strategy, _extend, comparison_vector, next_college, run_gda
 from featmatch.instances import gen_random, worked_example
 from featmatch.model import ValidationError
 from featmatch.oracle import improvement_scan, order_misreports
-from featmatch.prob import pr_prefers, pros_exact_2f
+from featmatch.prob import _facts, pros_exact_2f
 
-from helpers import induced_strict_prefs, point_mass_instance, reference_da
+from helpers import full_rerun_scan, induced_strict_prefs, point_mass_instance, reference_da
 
 EXPECTED_MATCHINGS = {
     (1, Strategy.LOCV): {"s1": "c3", "s2": "c1", "s3": "c2"},
@@ -172,8 +173,9 @@ def test_point_mass_degenerates_to_textbook_da(seed, strategy):
 # Each student's proposal order lives in her table under (rule, samples,
 # seed).  The checks below compare runs on a warm instance, whose tables
 # already hold orders for other rules and seeds, against runs on a freshly
-# built one, against the step-by-step Next() chain, and against an
-# improvement scan that builds a fresh instance for every misreport.
+# built one, against the step-by-step Next() chain, and, through the menu
+# scan, against an improvement scan that builds a fresh instance for every
+# misreport (helpers.full_rerun_scan).
 
 MEMO_FAMILIES = [
     (2, "uniform_simplex"),
@@ -223,33 +225,48 @@ def test_proposals_follow_the_next_college_chain(k, dist):
                         made[s].append(c)
 
 
-def _cold_scan(inst, rule, setting):
-    """improvement_scan's default space with a freshly built instance for
-    every run and every probability."""
-
-    def fresh(s=None, rows=None):
-        if s is None:
-            return replace(inst)
-        return replace(inst, utilities=inst.utilities[:s] + (rows,) + inst.utilities[s + 1 :])
-
-    truthful, _ = run_gda(fresh(), rule, **setting)
-    tried, improvements = 0, []
-    for s in range(inst.n):
-        old_c = truthful.college_of(s)
-        for label, rows in [*order_misreports(inst), ("truthful", inst.utilities[s])]:
-            tried += 1
-            new_c = run_gda(fresh(s, rows), rule, **setting)[0].college_of(s)
-            if new_c is None or new_c == old_c:
-                continue
-            prob = 1 if old_c is None else pr_prefers(fresh(), s, new_c, old_c, **setting)
-            if prob > 0:
-                improvements.append((s, label, prob))
-    return tried, improvements
+@pytest.mark.parametrize("k,dist", MEMO_FAMILIES)
+def test_improvement_scan_matches_cold_scan(k, dist):
+    # the default menu scan, an explicit strict-order space (full reruns, no
+    # truthful anchor) and the full-rerun oracle on fresh instances agree
+    for inst in _memo_instances(k, dist):
+        for setting in MEMO_SETTINGS:
+            for rule in Strategy:
+                tried, improvements = improvement_scan(inst, rule, **setting)
+                assert (tried, improvements) == full_rerun_scan(inst, rule, setting)
+                explicit = improvement_scan(inst, rule, misreport_space=order_misreports(inst), **setting)
+                assert explicit == (tried - inst.n, improvements)
 
 
 @pytest.mark.parametrize("k,dist", MEMO_FAMILIES)
-def test_improvement_scan_matches_cold_scan(k, dist):
-    for inst in _memo_instances(k, dist)[:3]:
-        for setting in MEMO_SETTINGS:
+def test_deterministic_report_orders_are_their_permutations(k, dist):
+    # the menu scan's premise: a strict-order report has 0/1 pairwise
+    # probabilities, so every rule proposes down exactly that order
+    for inst in _memo_instances(k, dist)[:2]:  # 3 and 4 colleges
+        perms = itertools.permutations(range(inst.m))
+        for perm, (_, rows) in zip(perms, order_misreports(inst)):
+            s = perm[0] % inst.n
             for rule in Strategy:
-                assert improvement_scan(inst, rule, **setting) == _cold_scan(inst, rule, setting)
+                for setting in MEMO_SETTINGS:
+                    altered = inst.with_report(s, rows)
+                    run_gda(altered, rule, **setting)
+                    order = _facts(altered, s).orders[(rule, setting["samples"], setting["seed"])]
+                    assert order == list(perm[: len(order)])
+                    while len(order) < inst.m:
+                        _extend(altered, rule, s, order, setting["samples"], setting["seed"])
+                    assert order == list(perm)
+
+
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(2, 4),
+    m=st.integers(2, 4),
+    rule=st.sampled_from(list(Strategy)),
+    dist=st.sampled_from(["uniform_simplex", "discrete", ("beta2", 2.0, 5.0)]),
+)
+def test_menu_scan_property(seed, n, m, rule, dist):
+    caps = "spread" if seed % 2 else "ones"
+    inst = gen_random(n, m, capacities=caps, dist_kind=dist, seed=seed)
+    setting = MEMO_SETTINGS[0]
+    assert improvement_scan(inst, rule, **setting) == full_rerun_scan(inst, rule, setting)

@@ -1,3 +1,5 @@
+import itertools
+import time
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -161,6 +163,19 @@ def test_audit_budget():
     inst = gen_random(3, 3, seed=5)
     with pytest.raises(BudgetExceededError, match="misreport space too large"):
         audit_ic(inst, Strategy.HEUF, budget=2)
+
+
+def test_audit_budget_is_checked_before_the_space_is_built():
+    # 2 students x (9! + 1) reports: refused before any order is built or run
+    inst = gen_random(2, 9, seed=1)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="misreport space too large"):
+        audit_ic(inst, Strategy.HEUF)
+    assert time.perf_counter() - start < 1.0
+    # a caller-supplied space is read only up to one report past the budget
+    endless = itertools.repeat(("truthful", inst.utilities[0]))
+    with pytest.raises(BudgetExceededError, match="misreport space too large"):
+        improvement_scan(inst, Strategy.HEUF, misreport_space=endless, budget=10)
 
 
 def test_audit_finds_beta_skew_heuf_violation():
