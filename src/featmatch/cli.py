@@ -1,9 +1,9 @@
 """Command-line surface.
 
 Verbs: solve (run a strategy on an instance), pros (evaluate a given
-matching), optimal (exhaustive search), audit-ic, experiment (random-trial
-ratio study with CSV + SVG box plots), paper-check (reference-value gate),
-gen (emit canonical or random instances).
+matching), optimal (exact optimum by branch and bound), audit-ic,
+experiment (random-trial ratio study with CSV + SVG box plots), paper-check
+(reference-value gate), gen (emit canonical or random instances).
 
 Exit codes: 0 ok, 1 reference-check failure, 2 input error, 3 budget
 exceeded.
@@ -177,6 +177,8 @@ def _cmd_optimal(args) -> int:
                     "best_matching": opt.best_matching.to_ids(inst),
                     "best_pros": _pros_json(opt.best_pros),
                     "matchings_examined": opt.matchings_examined,
+                    "matchings_evaluated": opt.matchings_evaluated,
+                    "pruned": opt.pruned,
                 },
                 indent=2,
             ),
@@ -187,6 +189,8 @@ def _cmd_optimal(args) -> int:
         lines.append(f"  {sid} -> {cid if cid is not None else 'unmatched'}")
     lines.append(f"best pros: {opt.best_pros.display()}")
     lines.append(f"matchings examined: {opt.matchings_examined}")
+    lines.append(f"matchings evaluated: {opt.matchings_evaluated}")
+    lines.append(f"pruned: {opt.pruned}")
     _emit(args, "\n".join(lines))
     return 0
 
@@ -404,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_pros)
 
-    p = sub.add_parser("optimal", help="exhaustive optimal-stability search")
+    p = sub.add_parser("optimal", help="exact optimal-stability search by branch and bound")
     p.add_argument("instance")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     _add_common(p)

@@ -17,10 +17,40 @@ deterministic strict-order report has 0/1 pairwise probabilities, so under
 every rule her proposal order is exactly that order.  Hence one rerun per
 college finds the menu: c is in it iff s gets c when she ranks c first.
 Each of the m! orders then gets its first college in the menu, or nothing.
+
+The optimum is found by depth-first branch and bound (Land & Doig 1960).
+Students are placed in index order and each tries the options of
+``enumerate_matchings`` in its order: unmatched first, then colleges by
+index.  Each college keeps its load and its worst enrollee's rank, undone on
+backtrack.  Once students 0..k-1 are placed, a college whose worst enrollee
+ranks below placed student t certainly blocks with her (unless it is her
+match): its final cutoff is either that rank, when it fills with no one
+better, or worse.  A student's stability factor only shrinks as blockers are
+added, so her factor under her certain blockers bounds her final one, and
+students not yet placed count 1.  The product of these bounds, taken in
+student order, bounds every completion; a subtree is pruned as soon as the
+running product is at most the best value so far, so the search stops once
+a matching scores 1, and ties keep the first best matching in enumeration
+order.  Leaves are scored from the same memoized factors (``prob._factor``)
+and combined by ``prob._product_result``, without the feasibility check of
+``pros_exact``: they are feasible by construction.
+
+The bound is also sound for closed-form (beta) float factors.
+``_product_result`` multiplies the factors in student order, skipping 1s, as
+floats once any factor is a float.  Rounding is monotone and every factor is
+at most 1, so that float product can only shrink as further factors are
+multiplied in, and it cannot grow when a factor is replaced by a smaller
+one; the float prefix product of the bounds therefore bounds the final float
+product.  A product can stay an exact Fraction on such an instance only if
+every factor is a Fraction, so until a float factor appears the exact prefix
+product is kept too and the larger of the two is the bound.  (A placed
+student whose bound is a float has a nonempty window, so her final factor is
+a float or 0, and an exact final product is then 0.)
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -31,8 +61,8 @@ import numpy as np
 
 from .gda import Strategy, run_gda
 from .instances import gen_random
-from .model import Instance, Matching, ProsResult, ValidationError, format_rational
-from .prob import DEFAULT_SAMPLES, pr_prefers, pros_exact
+from .model import DiscreteWeights, Instance, Matching, ProsResult, ValidationError, format_rational
+from .prob import DEFAULT_SAMPLES, _factor, _product_result, pr_prefers, pros_exact
 
 __all__ = [
     "BudgetExceededError",
@@ -40,6 +70,7 @@ __all__ = [
     "IcAuditReport",
     "IcViolation",
     "enumerate_matchings",
+    "count_matchings",
     "optimal_pros",
     "approx_ratio",
     "ExperimentConfig",
@@ -58,14 +89,18 @@ class BudgetExceededError(RuntimeError):
     """The requested enumeration is larger than the configured budget."""
 
 
-def enumerate_matchings(inst: Instance, budget: int = DEFAULT_BUDGET) -> Iterator[Matching]:
-    """Yield every capacity-feasible assignment exactly once, including
-    unmatched options.  Students choose in index order (None, c1, ..., cm)
-    by backtracking over remaining capacity."""
+def _check_budget(inst: Instance, budget: int) -> None:
     if (inst.m + 1) ** inst.n > budget:
         raise BudgetExceededError(
             f"search space (m+1)^n = {(inst.m + 1) ** inst.n} exceeds budget {budget}"
         )
+
+
+def enumerate_matchings(inst: Instance, budget: int = DEFAULT_BUDGET) -> Iterator[Matching]:
+    """Yield every capacity-feasible assignment exactly once, including
+    unmatched options.  Students choose in index order (None, c1, ..., cm)
+    by backtracking over remaining capacity."""
+    _check_budget(inst, budget)
     assignment: list[Union[int, None]] = [None] * inst.n
     remaining = list(inst.capacities)
 
@@ -86,26 +121,116 @@ def enumerate_matchings(inst: Instance, budget: int = DEFAULT_BUDGET) -> Iterato
     return rec(0)
 
 
+@functools.cache
+def _completions(students: int, seats: tuple[int, ...]) -> int:
+    """The number of ways to place ``students`` labelled students, each in
+    one of the colleges with ``seats`` free seats or unmatched, by a DP over
+    the colleges on the number of students still unplaced."""
+    ways = [0] * students + [1]  # ways[r]: assignments leaving r students unplaced
+    for cap in seats:
+        nxt = [0] * (students + 1)
+        for r, w in enumerate(ways):
+            for a in range(min(cap, r) + 1):
+                nxt[r - a] += w * math.comb(r, a)
+        ways = nxt
+    return sum(ways)
+
+
+def _count(students: int, seats) -> int:
+    return _completions(students, tuple(sorted(min(q, students) for q in seats if q)))
+
+
+def count_matchings(inst: Instance) -> int:
+    """The number of matchings ``enumerate_matchings`` yields, without
+    enumerating them."""
+    return _count(inst.n, inst.capacities)
+
+
 @dataclass(frozen=True)
 class OptResult:
     best_matching: Matching
     best_pros: ProsResult
-    matchings_examined: int
+    matchings_examined: int  # the size of the feasible space
+    matchings_evaluated: int  # complete matchings the search scored
+    pruned: int  # matchings in subtrees the bound cut; evaluated + pruned = examined
 
 
 def optimal_pros(inst: Instance, budget: int = DEFAULT_BUDGET) -> OptResult:
-    """Exhaustively maximize the stability probability with the exact
-    evaluator; ties keep the first matching in enumeration order."""
-    best: Union[Matching, None] = None
-    best_val: Union[ProsResult, None] = None
-    count = 0
-    for matching in enumerate_matchings(inst, budget):
-        count += 1
-        result = pros_exact(inst, matching)
-        if best_val is None or result.value > best_val.value:
-            best, best_val = matching, result
-    assert best is not None and best_val is not None
-    return OptResult(best_matching=best, best_pros=best_val, matchings_examined=count)
+    """Maximize the stability probability over every feasible matching by
+    depth-first branch and bound with the certain-blocker bound (see the
+    module docstring); exact, and ties keep the first matching in
+    enumeration order."""
+    _check_budget(inst, budget)
+    if inst.num_features != 2 and not all(isinstance(d, DiscreteWeights) for d in inst.weight_dists):
+        raise ValidationError("no exact stability evaluator for this instance")
+    n, m, caps = inst.n, inst.m, inst.capacities
+    ranks = [[inst.college_rank[c][t] for c in range(m)] for t in range(n)]  # ranks[t][c]
+    exact = all(dist.exact for dist in inst.weight_dists)
+    assignment: list[Union[int, None]] = [None] * n
+    load = [0] * m
+    worst = [-1] * m  # worst enrollee's rank, -1 while empty: no final cutoff is lower
+    best_value, best_assignment, best_result = -1, None, None  # -1 is below every value
+    best_num, best_den = -1, 1  # best_value as an exact integer ratio
+    evaluated = pruned = 0
+
+    def scan(k: int, cutoffs: list[int]):
+        """Factors of students 0..k-1 under the cutoffs, or None as soon as
+        the bound on their product is at most the best value.  The bound is
+        the exact product num / den (kept unreduced, 0 once a factor is a
+        float) and, on an inexact instance, also ``_product_result``'s
+        float product; it must be at most the best value in both."""
+        factors = []
+        num, den, rounded = 1, 1, 1.0
+        for t in range(k):
+            match, rank = assignment[t], ranks[t]
+            factor = _factor(inst, t, match, tuple([c for c in range(m) if c != match and rank[c] < cutoffs[c]]))
+            factors.append(factor)
+            if factor == 1:
+                continue
+            if isinstance(factor, Fraction):
+                num, den = num * factor.numerator, den * factor.denominator
+            else:
+                num = 0
+            if not exact:
+                rounded *= float(factor)
+            if num * best_den <= best_num * den and (exact or rounded <= best_value):
+                return None
+        return factors
+
+    def place(k: int) -> None:
+        nonlocal best_value, best_num, best_den, best_assignment, best_result, evaluated, pruned
+        if best_num >= best_den or scan(k, worst) is None:  # nothing beats a value of 1
+            pruned += _count(n - k, [cap - used for cap, used in zip(caps, load)])
+            return
+        if k == n:
+            evaluated += 1
+            factors = scan(n, [n if used < cap else w for cap, used, w in zip(caps, load, worst)])
+            if factors is not None:
+                result = _product_result(factors)
+                if result.value > best_value:
+                    best_value, best_assignment, best_result = result.value, tuple(assignment), result
+                    best_num, best_den = best_value.as_integer_ratio()
+            return
+        place(k + 1)  # student k unmatched
+        for c in range(m):
+            if load[c] < caps[c]:
+                previous = worst[c]
+                load[c] += 1
+                worst[c] = max(previous, ranks[k][c])
+                assignment[k] = c
+                place(k + 1)
+                assignment[k] = None
+                worst[c] = previous
+                load[c] -= 1
+
+    place(0)
+    return OptResult(
+        best_matching=Matching(best_assignment),
+        best_pros=best_result,
+        matchings_examined=count_matchings(inst),
+        matchings_evaluated=evaluated,
+        pruned=pruned,
+    )
 
 
 def approx_ratio(inst: Instance, strategy: Strategy, budget: int = DEFAULT_BUDGET):

@@ -24,11 +24,17 @@ table, ``pr_top`` and ``pros_exact_discrete`` all go through it.
 Potential blockers come from one integer cutoff per college and matching
 (``_cutoffs``): n while the college has a free seat, else the worst
 ``college_rank`` among its enrollees; college c can block with student s iff
-``college_rank[c][s] < cutoff[c]``.  A two-feature student's stability factor
-depends only on her table, her college and her set of blockers, so the table
-also holds a factor memo under that key (``_factor_2f``), and
-``pros_exact_2f`` stops at the first zero factor when every weight
-distribution is exact.
+``college_rank[c][s] < cutoff[c]``.  A student's stability factor depends
+only on her table, her college and her set of blockers, so the table also
+holds a factor memo under that key (``_factor``: the weight window for two
+features, the atom mask for discrete weights), and ``pros_exact_2f`` stops at
+the first zero factor when every weight distribution is exact.
+``oracle.optimal_pros`` reads the same memo.
+
+On the Monte Carlo path the table keeps each estimate under its (samples,
+seed): both strict fractions of a college pair from one draw of the pair's
+substream, and each top-rank fraction.  Only the floats are kept, never the
+score arrays, so repeated comparisons cost a lookup and stay bit-identical.
 """
 
 from __future__ import annotations
@@ -157,8 +163,11 @@ class _Facts:
     # strict[ci][cj] = Pr[ci strictly beats cj]; closed form for beta2, else exact;
     # None on the Monte Carlo path (not discrete, not two features)
     strict: Union[list, None]
-    factors: dict = field(default_factory=dict)  # (college, blockers) -> stability factor; see _factor_2f
+    factors: dict = field(default_factory=dict)  # (college, blockers) -> stability factor; see _factor
     orders: dict = field(default_factory=dict)  # (rule, samples, seed) -> proposal order; see gda
+    # Monte Carlo path: (samples, seed, ci, cj) -> strict fraction and
+    # (samples, seed, c, rivals) -> top-rank fraction; see pr_prefers and pr_top
+    estimates: dict = field(default_factory=dict)
 
 
 def _facts(inst: Instance, s: int) -> _Facts:
@@ -214,13 +223,17 @@ def sample_weights(dist: WeightDistribution, k: int, rng: np.random.Generator) -
     return dist.sample(k, rng)
 
 
-def _mc_scores(inst: Instance, s: int, samples: int, seed, key: tuple) -> np.ndarray:
-    """Student s's weighted score of every college at `samples` weight draws
-    from substream `key` of `seed`, shape (samples, colleges)."""
+def _check_mc(samples: int, seed) -> None:
     if seed is None:
         raise ValidationError("Monte Carlo path requires an explicit seed")
     if samples < 1:
         raise ValidationError("sample count must be positive")
+
+
+def _mc_scores(inst: Instance, s: int, samples: int, seed, key: tuple) -> np.ndarray:
+    """Student s's weighted score of every college at `samples` weight draws
+    from substream `key` of `seed`, shape (samples, colleges)."""
+    _check_mc(samples, seed)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
     return sample_weights(inst.weight_dists[s], samples, rng) @ inst.utilities_f64[s]
 
@@ -270,10 +283,16 @@ def pr_prefers(
     facts = _facts(inst, s)
     if facts.strict is not None:
         return facts.strict[ci][cj] if strict else 1 - facts.strict[cj][ci]
-    # stream keyed on the unordered pair so strict(i,j) + weak(j,i) = 1 holds
-    # exactly even on the estimated path
-    scores = _mc_scores(inst, s, samples, seed, (s, min(ci, cj), max(ci, cj)))
-    return _strict_fraction(scores, ci, cj) if strict else 1.0 - _strict_fraction(scores, cj, ci)
+    _check_mc(samples, seed)
+    key = (samples, seed, ci, cj) if strict else (samples, seed, cj, ci)
+    if key not in facts.estimates:
+        # stream keyed on the unordered pair so strict(i,j) + weak(j,i) = 1
+        # holds exactly even on the estimated path; one draw gives both orders
+        lo, hi = min(ci, cj), max(ci, cj)
+        scores = _mc_scores(inst, s, samples, seed, (s, lo, hi))
+        facts.estimates[(samples, seed, lo, hi)] = _strict_fraction(scores, lo, hi)
+        facts.estimates[(samples, seed, hi, lo)] = _strict_fraction(scores, hi, lo)
+    return facts.estimates[key] if strict else 1.0 - facts.estimates[key]
 
 
 def pr_top(
@@ -298,7 +317,11 @@ def pr_top(
         return Fraction(1)
     facts = _facts(inst, s)
     if facts.strict is None:
-        return _top_fraction(_mc_scores(inst, s, samples, seed, (s, c, 104729)), c, rivals)
+        _check_mc(samples, seed)
+        key = (samples, seed, c, tuple(rivals))
+        if key not in facts.estimates:
+            facts.estimates[key] = _top_fraction(_mc_scores(inst, s, samples, seed, (s, c, 104729)), c, rivals)
+        return facts.estimates[key]
     if facts.atoms is not None:
         return inst.weight_dists[s].mass((facts.atoms[:, [c]] >= facts.atoms[:, rivals]).all(axis=1))
     window = _window(facts, c, rivals)
@@ -387,26 +410,34 @@ def stability_interval(inst: Instance, matching: Matching, s: int) -> Union[Bloc
     return BlockInterval(lo, hi)
 
 
-_EXACT_ZERO = ProsResult(value=Fraction(0), kind="exact")
+_ZERO, _ONE = Fraction(0), Fraction(1)
+_EXACT_ZERO = ProsResult(value=_ZERO, kind="exact")
 
 
-def _factor_2f(inst: Instance, s: int, match, blockers: tuple[int, ...]) -> Prob:
-    """Student s's stability factor: the measure of first-feature weights at
-    which no blocker strictly beats her match.  It depends only on her table,
-    her college and her blockers, so her table memoizes it under that key
-    (at most m * 2^(m-1) entries)."""
+def _factor(inst: Instance, s: int, match, blockers: tuple[int, ...]) -> Prob:
+    """Student s's stability factor: the probability that no blocker strictly
+    beats her match.  With two features it is the measure of a window of
+    first-feature weights; otherwise (discrete weights only) it is the mass of
+    the atoms where ``W @ (u_c - u_match) <= 0`` for every blocker c, as
+    ``pros_exact_discrete`` computes it.  It depends only on her table, her
+    college and her blockers, so her table memoizes it under that key (at
+    most m * 2^(m-1) entries).  Fewer blockers never give a smaller factor."""
     if match is None:
         # every acceptable college strictly beats being unmatched
-        return Fraction(0) if blockers else Fraction(1)
+        return _ZERO if blockers else _ONE
     facts = _facts(inst, s)
     key = (match, blockers)
     factor = facts.factors.get(key)
     if factor is None:
-        window = _window(facts, match, blockers)
-        if window is None or window[0] > window[1]:
-            factor = Fraction(0)
+        if facts.cases is None:
+            atoms = facts.atoms  # W @ U, so column c minus column match is W @ (u_c - u_match)
+            factor = inst.weight_dists[s].mass((atoms[:, list(blockers)] <= atoms[:, [match]]).all(axis=1))
         else:
-            factor = inst.weight_dists[s].w1_measure(*window)
+            window = _window(facts, match, blockers)
+            if window is None or window[0] > window[1]:
+                factor = _ZERO
+            else:
+                factor = inst.weight_dists[s].w1_measure(*window)
         facts.factors[key] = factor
     return factor
 
@@ -422,7 +453,7 @@ def pros_exact_2f(inst: Instance, matching: Matching) -> ProsResult:
     cutoffs = _cutoffs(inst, matching)
     factors = []
     for s, match in enumerate(matching.assignment):
-        factor = _factor_2f(inst, s, match, _blockers(inst, cutoffs, s, match))
+        factor = _factor(inst, s, match, _blockers(inst, cutoffs, s, match))
         if factor == 0 and all(dist.exact for dist in inst.weight_dists):
             return _EXACT_ZERO
         factors.append(factor)

@@ -21,8 +21,8 @@ import numpy as np
 
 from featmatch.gda import run_gda
 from featmatch.model import DiscreteWeights, Instance, ParseError, ValidationError
-from featmatch.oracle import order_misreports
-from featmatch.prob import pr_prefers
+from featmatch.oracle import enumerate_matchings, order_misreports
+from featmatch.prob import pr_prefers, pros_exact
 
 
 def reference_da(student_prefs, college_prefs, capacities):
@@ -244,6 +244,18 @@ def triangle_quadrature_strict(inst: Instance, s: int, ci: int, cj: int, cells: 
         hits += int((scores[:, ci] > scores[:, cj]).sum())
         total += bmax
     return hits / total
+
+
+def flat_optimum(inst: Instance) -> tuple:
+    """The flat search that ``optimal_pros`` replaced: (first best matching,
+    its ProsResult) over every matching in enumeration order, each scored by
+    the validating ``pros_exact`` on a fresh copy of the instance (no memo)."""
+    best = best_result = None
+    for matching in enumerate_matchings(inst):
+        result = pros_exact(replace(inst), matching)
+        if best_result is None or result.value > best_result.value:
+            best, best_result = matching, result
+    return best, best_result
 
 
 def matchings_count_closed_form(n: int, m: int) -> int:

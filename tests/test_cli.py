@@ -77,6 +77,12 @@ def test_optimal_command(ex1_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["best_pros"]["value_exact"] == "1"
     assert doc["matchings_examined"] == 34
+    assert doc["matchings_evaluated"] == 7
+    assert doc["pruned"] == 27  # evaluated + pruned = examined
+    assert main(["optimal", ex1_path]) == 0
+    out = capsys.readouterr().out
+    assert "matchings examined: 34" in out
+    assert "matchings evaluated: 7" in out and "pruned: 27" in out
 
 
 def test_audit_command(ex1_path, capsys):

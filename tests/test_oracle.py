@@ -17,20 +17,21 @@ from featmatch.instances import (
     vanishing_ratio,
     worked_example,
 )
-from featmatch.model import Matching
+from featmatch.model import BetaWeights, Matching, ValidationError
 from featmatch.oracle import (
     BudgetExceededError,
     audit_ic,
     approx_ratio,
     check_transitivity,
+    count_matchings,
     enumerate_matchings,
     improvement_scan,
     optimal_pros,
     order_misreports,
 )
-from featmatch.prob import pros_exact, pros_exact_2f
+from featmatch.prob import pros_exact_2f
 
-from helpers import matchings_count_closed_form
+from helpers import flat_optimum, matchings_count_closed_form
 
 
 def test_enumeration_counts():
@@ -52,19 +53,89 @@ def test_enumeration_matches_closed_form_and_is_duplicate_free(n, m):
     assert len(seen) == matchings_count_closed_form(n, m)
 
 
-@pytest.mark.parametrize("kind", ["uniform_simplex", "discrete", ("beta2", 2.0, 5.0)])
+DIST_KINDS = ["uniform_simplex", "discrete", ("beta2", 2.0, 5.0)]
+
+
+def _check_optimum(inst):
+    """Branch and bound equals the flat search: same first best matching,
+    same ProsResult, and every matching evaluated or pruned."""
+    opt = optimal_pros(inst)
+    best, best_result = flat_optimum(inst)
+    assert opt.best_matching == best
+    assert opt.best_pros == best_result
+    assert type(opt.best_pros.value) is type(best_result.value)
+    assert opt.matchings_examined == sum(1 for _ in enumerate_matchings(inst))
+    assert opt.matchings_evaluated + opt.pruned == opt.matchings_examined
+    return opt
+
+
+@pytest.mark.parametrize("kind", DIST_KINDS)
 def test_optimal_pros_matches_cold_brute_force(kind):
-    for seed in (77, 78):
-        inst = gen_random(4, 4, dist_kind=kind, seed=seed)
-        best = best_val = None
-        for matching in enumerate_matchings(inst):
-            result = pros_exact(replace(inst), matching)  # a fresh Instance per matching: no memo
-            if best_val is None or result.value > best_val.value:
-                best, best_val = matching, result
-        opt = optimal_pros(inst)
-        assert opt.best_matching == best
-        assert opt.best_pros == best_val
-        assert opt.matchings_examined == matchings_count_closed_form(4, 4)
+    # (5, 3) spreads capacities (2, 2, 1), so colleges hold several enrollees;
+    # discrete weights also run with three features, on the atom-mask factor
+    shapes = [(4, 4, "ones"), (5, 3, "spread")]
+    for features in (2, 3) if kind == "discrete" else (2,):
+        for (n, m, capacities), seed in itertools.product(shapes, (77, 78)):
+            inst = gen_random(n, m, capacities=capacities, num_features=features, dist_kind=kind, seed=seed)
+            opt = _check_optimum(inst)
+            if capacities == "ones":
+                assert opt.matchings_examined == matchings_count_closed_form(n, m)
+
+
+@pytest.mark.parametrize("features", [2, 3])
+def test_optimal_pros_with_tied_colleges(features):
+    # every student values colleges 1 and 2 alike, so at every atom neither
+    # strictly beats the other: a tie must not count as a block
+    for seed in range(4):
+        base = gen_random(4, 3, capacities="spread", num_features=features, dist_kind="discrete", seed=50 + seed)
+        tied = tuple(tuple(row[:2] + row[1:2] for row in rows) for rows in base.utilities)
+        _check_optimum(replace(base, utilities=tied))
+
+
+def test_optimal_pros_mixed_exact_and_closed_form_students():
+    # beta students among flat ones: leaf values are floats or, when every
+    # beta student is unmatched with no blocker, exact; the bound covers both
+    for seed in range(6):
+        base = gen_random(4, 3, capacities="spread", seed=90 + seed)
+        dists = list(base.weight_dists)
+        dists[seed % 4] = BetaWeights(2.0, 5.0)
+        dists[(seed + 1) % 4] = BetaWeights(0.5, 0.5)
+        _check_optimum(replace(base, weight_dists=tuple(dists)))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(1, 5),
+    m=st.integers(1, 4),
+    capacities=st.sampled_from(["ones", "spread"]),
+    dist=st.sampled_from([(2, kind) for kind in DIST_KINDS] + [(2, ("beta2", 0.5, 0.5)), (3, "discrete")]),
+)
+def test_branch_and_bound_equals_flat_search(seed, n, m, capacities, dist):
+    features, kind = dist
+    _check_optimum(gen_random(n, m, capacities=capacities, num_features=features, dist_kind=kind, seed=seed))
+
+
+@pytest.mark.parametrize("capacities", ["ones", "spread", (2, 1, 3)])
+def test_matching_count_equals_enumeration(capacities):
+    for n in range(1, 7):
+        inst = gen_random(n, 3, capacities=capacities, seed=n)
+        assert count_matchings(inst) == sum(1 for _ in enumerate_matchings(inst))
+
+
+def test_branch_and_bound_prunes():
+    # a silent fall-back to scoring every matching would evaluate all 1,546
+    opt = optimal_pros(gen_random(5, 5, seed=2024))
+    assert opt.matchings_examined == matchings_count_closed_form(5, 5) == 1546
+    assert opt.matchings_evaluated + opt.pruned == opt.matchings_examined
+    assert 0 < opt.matchings_evaluated < opt.matchings_examined // 4
+
+
+def test_optimal_pros_rejects_instances_without_exact_evaluator():
+    with pytest.raises(ValidationError, match="no exact stability evaluator"):
+        optimal_pros(gen_random(3, 3, num_features=3, seed=5))
+    with pytest.raises(BudgetExceededError, match="exceeds budget 10$"):  # the budget is checked first
+        optimal_pros(gen_random(3, 3, num_features=3, seed=5), budget=10)
 
 
 def test_enumeration_budget():
