@@ -23,7 +23,6 @@ from functools import cached_property
 from typing import ClassVar, Mapping, Union
 
 import numpy as np
-from scipy.special import betainc
 
 __all__ = [
     "ModelError",
@@ -178,8 +177,17 @@ class UniformSimplex:
         if self.dim == 2:
             w1 = rng.random(k)
             return np.column_stack([w1, 1.0 - w1])
-        e = rng.exponential(1.0, size=(k, self.dim))
-        return e / e.sum(axis=1, keepdims=True)
+        e = rng.standard_exponential(size=(k, self.dim))
+        if self.dim < 8:
+            # numpy adds fewer than 8 terms left to right, so these column adds
+            # give e.sum(axis=1) bit for bit, without a reduction over a short axis
+            total = e[:, 0].copy()
+            for col in e.T[1:]:
+                total += col
+        else:
+            total = e.sum(axis=1)
+        e /= total[:, None]
+        return e
 
     def to_dict(self) -> dict:
         return {"type": "uniform_simplex"}
@@ -252,11 +260,17 @@ class DiscreteWeights:
         below = (operator.lt if open_hi else operator.le)(w1 * hi.denominator, hi.numerator * dw)
         return self.mass(above & below)
 
-    def sample(self, k: int, rng: np.random.Generator) -> np.ndarray:
+    @cached_property
+    def _float_atoms(self) -> tuple[np.ndarray, np.ndarray]:
+        """(probabilities, support) as floats, for sampling."""
         probs = np.array([float(p) for _, p in self.atoms])
         probs /= probs.sum()
         support = np.array([[float(x) for x in w] for w, _ in self.atoms])
-        return support[rng.choice(len(self.atoms), size=k, p=probs)]
+        return probs, support
+
+    def sample(self, k: int, rng: np.random.Generator) -> np.ndarray:
+        probs, support = self._float_atoms
+        return support[rng.choice(len(probs), size=k, p=probs)]
 
     def to_dict(self) -> dict:
         return {
@@ -301,6 +315,9 @@ class BetaWeights:
         return max(0.0, self._cdf(hi) - self._cdf(lo))
 
     def _cdf(self, x) -> float:
+        # imported on first use: scipy.special costs every start-up about 0.3 s
+        from scipy.special import betainc
+
         return float(betainc(self.alpha, self.beta, float(x)))
 
     def sample(self, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -31,10 +31,15 @@ features, the atom mask for discrete weights), and ``pros_exact_2f`` stops at
 the first zero factor when every weight distribution is exact.
 ``oracle.optimal_pros`` reads the same memo.
 
-On the Monte Carlo path the table keeps each estimate under its (samples,
-seed): both strict fractions of a college pair from one draw of the pair's
-substream, and each top-rank fraction.  Only the floats are kept, never the
-score arrays, so repeated comparisons cost a lookup and stay bit-identical.
+On the Monte Carlo path an estimate depends only on the seed, its substream
+key and the sample count.  ``_mc_counts`` draws the substream's weights in
+consecutive blocks of ``MC_BLOCK`` rows, scores each block and counts the rows
+where each event holds, so no estimate is ever held whole and memory does
+not grow with the sample count; the blocks give the same floats as one draw
+of every row.  A fraction is a count over the sample count.  The table keeps
+each estimate under its (samples, seed): both strict fractions of a college
+pair from one pass over the pair's substream, and each top-rank fraction, so
+repeated comparisons cost a lookup and stay bit-identical.
 """
 
 from __future__ import annotations
@@ -230,30 +235,42 @@ def _check_mc(samples: int, seed) -> None:
         raise ValidationError("sample count must be positive")
 
 
-def _mc_scores(inst: Instance, s: int, samples: int, seed, key: tuple) -> np.ndarray:
-    """Student s's weighted score of every college at `samples` weight draws
-    from substream `key` of `seed`, shape (samples, colleges)."""
-    _check_mc(samples, seed)
+MC_BLOCK = 16_384  # weight draws per block on the Monte Carlo path
+
+
+def _mc_counts(inst: Instance, s: int, samples: int, seed, key: tuple, events: Sequence) -> list[int]:
+    """For each event, on how many of `samples` weight draws from substream
+    `key` of `seed` it holds for student s.  An event maps a block of weighted
+    scores, shape (rows, colleges), to one bool per row.  The draws are made
+    and scored in consecutive blocks of ``MC_BLOCK`` rows, which give the same
+    floats as one draw of every row, so memory does not grow with `samples`.
+    Callers check `samples` and `seed` first (``_check_mc``)."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
-    return sample_weights(inst.weight_dists[s], samples, rng) @ inst.utilities_f64[s]
+    dist, utilities = inst.weight_dists[s], inst.utilities_f64[s]
+    counts = [0] * len(events)
+    for start in range(0, samples, MC_BLOCK):
+        scores = sample_weights(dist, min(MC_BLOCK, samples - start), rng) @ utilities
+        for i, event in enumerate(events):
+            counts[i] += int(np.count_nonzero(event(scores)))
+    return counts
 
 
-# Monte Carlo kernels over per-sample weighted scores, shape (samples, colleges)
+# Monte Carlo events over a block of weighted scores, shape (rows, colleges)
 
 
-def _noblock_fraction(scores: np.ndarray, match: int, cand) -> float:
-    """Fraction of samples where no candidate college strictly beats the match."""
-    return float(1.0 - (scores[:, cand] > scores[:, match][:, None]).any(axis=1).mean())
+def _beats(i: int, j: int):
+    """College i scores strictly above college j."""
+    return lambda scores: scores[:, i] > scores[:, j]
 
 
-def _strict_fraction(scores: np.ndarray, i: int, j: int) -> float:
-    """Fraction of samples where college i scores strictly above college j."""
-    return float((scores[:, i] > scores[:, j]).mean())
+def _weakly_tops(c: int, rivals: list[int]):
+    """College c scores at least as high as every rival."""
+    return lambda scores: (scores[:, [c]] >= scores[:, rivals]).all(axis=1)
 
 
-def _top_fraction(scores: np.ndarray, c: int, pool) -> float:
-    """Fraction of samples where college c weakly beats every pool member."""
-    return float((scores[:, c][:, None] >= scores[:, pool]).all(axis=1).mean())
+def _some_beats(candidates: list[int], match: int):
+    """Some candidate college scores strictly above the match."""
+    return lambda scores: (scores[:, candidates] > scores[:, [match]]).any(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +306,9 @@ def pr_prefers(
         # stream keyed on the unordered pair so strict(i,j) + weak(j,i) = 1
         # holds exactly even on the estimated path; one draw gives both orders
         lo, hi = min(ci, cj), max(ci, cj)
-        scores = _mc_scores(inst, s, samples, seed, (s, lo, hi))
-        facts.estimates[(samples, seed, lo, hi)] = _strict_fraction(scores, lo, hi)
-        facts.estimates[(samples, seed, hi, lo)] = _strict_fraction(scores, hi, lo)
+        above, below = _mc_counts(inst, s, samples, seed, (s, lo, hi), (_beats(lo, hi), _beats(hi, lo)))
+        facts.estimates[(samples, seed, lo, hi)] = above / samples
+        facts.estimates[(samples, seed, hi, lo)] = below / samples
     return facts.estimates[key] if strict else 1.0 - facts.estimates[key]
 
 
@@ -320,7 +337,8 @@ def pr_top(
         _check_mc(samples, seed)
         key = (samples, seed, c, tuple(rivals))
         if key not in facts.estimates:
-            facts.estimates[key] = _top_fraction(_mc_scores(inst, s, samples, seed, (s, c, 104729)), c, rivals)
+            (top,) = _mc_counts(inst, s, samples, seed, (s, c, 104729), (_weakly_tops(c, rivals),))
+            facts.estimates[key] = top / samples
         return facts.estimates[key]
     if facts.atoms is not None:
         return inst.weight_dists[s].mass((facts.atoms[:, [c]] >= facts.atoms[:, rivals]).all(axis=1))
@@ -501,8 +519,7 @@ def pros_monte_carlo(inst: Instance, matching: Matching, samples: int, seed: int
     product of the independent per-student estimators (delta-method form).
     Deterministic for a fixed seed regardless of scheduling.
     """
-    if samples < 1:
-        raise ValidationError("sample count must be positive")
+    _check_mc(samples, seed)
     _require_feasible(inst, matching)
     cutoffs = _cutoffs(inst, matching)
     fractions = []
@@ -514,7 +531,8 @@ def pros_monte_carlo(inst: Instance, matching: Matching, samples: int, seed: int
         if not candidates:
             fractions.append(1.0)
             continue
-        fractions.append(_noblock_fraction(_mc_scores(inst, s, samples, seed, (s,)), match, candidates))
+        (blocked,) = _mc_counts(inst, s, samples, seed, (s,), (_some_beats(candidates, match),))
+        fractions.append(1.0 - blocked / samples)
     value = float(np.prod(fractions))
     # Var(prod X_s) = prod(var_s + mean_s^2) - prod(mean_s^2), plug-in estimates
     second = 1.0

@@ -5,10 +5,11 @@ deferred acceptance is a plain sequential textbook loop, the blocker oracle
 reads college preference lists directly, the stability oracles evaluate
 block events directly at sampled/grid weights, the atom oracles score every
 support atom afresh in Fraction arithmetic, the triangle quadrature
-integrates the three-feature preference regions numerically, and the
+integrates the three-feature preference regions numerically, the
 full-rerun scan reruns GDA under every misreport on a freshly built
-instance.  The malformed-document list is shared by the parser and CLI
-exit-code tests.
+instance, and the one-shot Monte Carlo estimate draws every sample at once
+by the plain formulas.  The malformed-document list is shared by the parser
+and CLI exit-code tests.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction as F
 import numpy as np
 
 from featmatch.gda import run_gda
-from featmatch.model import DiscreteWeights, Instance, ParseError, ValidationError
+from featmatch.model import BetaWeights, DiscreteWeights, Instance, ParseError, ValidationError
 from featmatch.oracle import enumerate_matchings, order_misreports
 from featmatch.prob import pr_prefers, pros_exact
 
@@ -265,3 +266,31 @@ def matchings_count_closed_form(n: int, m: int) -> int:
     from math import comb, factorial
 
     return sum(comb(n, k) * comb(m, k) * factorial(k) for k in range(min(n, m) + 1))
+
+
+def one_shot_weights(dist, samples: int, rng: np.random.Generator) -> np.ndarray:
+    """`samples` weight vectors drawn at once: normalized exponentials (uniform
+    weights of dimension other than 2), a uniform first weight (dimension 2),
+    a beta first weight, or categorical atoms."""
+    if isinstance(dist, DiscreteWeights):
+        probs = np.array([float(p) for _, p in dist.atoms])
+        probs /= probs.sum()
+        support = np.array([[float(x) for x in w] for w, _ in dist.atoms])
+        return support[rng.choice(len(probs), size=samples, p=probs)]
+    if isinstance(dist, BetaWeights):
+        w1 = rng.beta(dist.alpha, dist.beta, size=samples)
+        return np.column_stack([w1, 1.0 - w1])
+    if dist.dim == 2:
+        w1 = rng.random(samples)
+        return np.column_stack([w1, 1.0 - w1])
+    e = rng.exponential(1.0, size=(samples, dist.dim))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def one_shot_mc(inst: Instance, s: int, samples: int, seed: int, key: tuple, event) -> float:
+    """Fraction of `samples` weight draws from substream `key` of `seed` at
+    which `event` holds for student s, with every draw made and scored at
+    once (``one_shot_weights``, then ``@ U`` and a boolean ``.mean()``)."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+    utilities = np.array([[float(u) for u in row] for row in inst.utilities[s]])
+    return float(event(one_shot_weights(inst.weight_dists[s], samples, rng) @ utilities).mean())

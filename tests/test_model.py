@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import featmatch
 from featmatch.model import (
     BetaWeights,
     DiscreteWeights,
@@ -195,6 +199,27 @@ def test_beta2_shape_parameters_are_checked(alpha, error):
         parse_instance(json.dumps(doc))
     doc["weight_dists"]["s1"] = {"type": "beta2", "alpha": "2.5", "beta": 2}
     assert parse_instance(json.dumps(doc)).weight_dists[0] == BetaWeights(2.5, 2.0)
+
+
+def test_scipy_special_is_imported_only_for_beta_weights():
+    code = (
+        "import sys, featmatch.cli\n"
+        "from featmatch.model import BetaWeights\n"
+        "print('scipy.special' in sys.modules)\n"
+        "BetaWeights(2.0, 2.0).w1_measure(0, 1)\n"
+        "print('scipy.special' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(featmatch.__file__)))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert run.stdout.split() == ["False", "True"]
+    # regularized incomplete beta values as float.hex: importing on first use changes none
+    goldens = [
+        (2.0, 2.0, F(5, 12), 1, "0x1.3f684bda12f68p-1"),
+        (0.5, 3.0, F(1, 10), F(7, 10), "0x1.be4576f5d51d4p-2"),
+        (7.5, 1.25, F(1, 3), F(9, 10), "0x1.1e6615356c545p-1"),
+    ]
+    for alpha, beta, lo, hi, want in goldens:
+        assert BetaWeights(alpha, beta).w1_measure(lo, hi).hex() == want
 
 
 @settings(max_examples=40, deadline=None)

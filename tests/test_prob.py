@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -36,6 +37,8 @@ from helpers import (
     atom_pros,
     atom_top,
     grid_pros,
+    one_shot_mc,
+    one_shot_weights,
     textbook_blockers,
     triangle_quadrature_strict,
 )
@@ -590,14 +593,109 @@ def test_mc_rejects_zero_samples():
         pros_monte_carlo(ex1, Matching((None, None, None)), samples=0, seed=1)
 
 
+def test_mc_checks_the_seed_for_every_matching():
+    # everyone unmatched draws nothing, and still needs a seed
+    inst = gen_random(3, 3, num_features=3, seed=4)
+    for matching in (Matching((None, None, None)), Matching((0, 1, 2))):
+        with pytest.raises(ValidationError, match="seed"):
+            pros_monte_carlo(inst, matching, samples=10, seed=None)
+
+
 def test_kernel_reference_values():
     scores = np.array([[1.0, 2.0, 0.5], [3.0, 1.0, 0.5], [0.5, 0.5, 0.5]])
-    cand = np.array([1, 2])
+    cand = [1, 2]
+
+    def fraction(event):
+        return np.count_nonzero(event(scores)) / len(scores)
+
     # rows where neither candidate beats college 0: rows 1 and 2
-    assert prob._noblock_fraction(scores, 0, cand) == pytest.approx(2 / 3)
-    assert prob._noblock_fraction(scores, 0, np.array([], dtype=np.int64)) == 1.0
-    assert prob._strict_fraction(scores, 0, 1) == pytest.approx(1 / 3)
-    assert prob._top_fraction(scores, 0, cand) == pytest.approx(2 / 3)
+    assert 1.0 - fraction(prob._some_beats(cand, 0)) == pytest.approx(2 / 3)
+    assert 1.0 - fraction(prob._some_beats([], 0)) == 1.0
+    assert fraction(prob._beats(0, 1)) == pytest.approx(1 / 3)
+    assert fraction(prob._weakly_tops(0, cand)) == pytest.approx(2 / 3)
+
+
+# ---------------------------------------------------------------------------
+# block-streamed estimates against one draw of every sample
+# ---------------------------------------------------------------------------
+
+MC_KINDS = ["uniform2", "uniform3", "uniform4", "uniform5", "beta2", "discrete"]
+
+
+def _mc_instance(kind: str, seed: int) -> Instance:
+    """A 3x4 instance whose students all have weights of one kind."""
+    if kind.startswith("uniform"):
+        return gen_random(3, 4, num_features=int(kind[len("uniform"):]), seed=seed)
+    if kind == "discrete":
+        return gen_random(3, 4, num_features=3, dist_kind="discrete", seed=seed)
+    base = gen_random(3, 4, seed=seed)
+    return replace(base, weight_dists=(BetaWeights(0.7, 2.0), BetaWeights(2.0, 2.0), BetaWeights(3.5, 1.2)))
+
+
+def _one_shot_pros(inst: Instance, matching: Matching, samples: int, seed: int) -> float:
+    value = 1.0
+    for s, match in enumerate(matching.assignment):
+        candidates = textbook_blockers(inst, matching, s)
+        if match is None or not candidates:
+            value *= 0.0 if candidates else 1.0
+            continue
+        blocked = one_shot_mc(
+            inst, s, samples, seed, (s,), lambda x: (x[:, candidates] > x[:, [match]]).any(axis=1)
+        )
+        value *= 1.0 - blocked
+    return value
+
+
+@pytest.mark.parametrize("block", [None, 1, 7])
+@pytest.mark.parametrize("kind", MC_KINDS)
+def test_streamed_estimates_equal_one_shot_draw(monkeypatch, kind, block):
+    if block is not None:
+        monkeypatch.setattr(prob, "MC_BLOCK", block)
+    b, seed = prob.MC_BLOCK, 5
+    for samples in sorted({1, b - 1, b, b + 1, 3 * b + 7} - {0}):
+        inst = _mc_instance(kind, samples)
+        for s in range(inst.n):
+            beats = lambda x: x[:, 0] > x[:, 2]
+            want = one_shot_mc(inst, s, samples, seed, (s, 0, 2), beats)
+            got = prob._mc_counts(inst, s, samples, seed, (s, 0, 2), (beats,))[0] / samples
+            assert got.hex() == want.hex()
+            if prob._facts(inst, s).strict is not None:
+                continue  # pairwise and top-rank probabilities are exact here
+            assert pr_prefers(inst, s, 0, 2, samples=samples, seed=seed).hex() == want.hex()
+            weak = pr_prefers(inst, s, 3, 1, strict=False, samples=samples, seed=seed)
+            below = one_shot_mc(inst, s, samples, seed, (s, 1, 3), lambda x: x[:, 1] > x[:, 3])
+            assert weak.hex() == (1.0 - below).hex()
+            top = pr_top(inst, s, 1, range(4), samples=samples, seed=seed)
+            tops = lambda x: (x[:, [1]] >= x[:, [0, 2, 3]]).all(axis=1)
+            want = one_shot_mc(inst, s, samples, seed, (s, 1, 104729), tops)
+            assert top.hex() == want.hex()
+        for matching in (Matching((0, 1, 2)), Matching((3, None, 1))):
+            got = pros_monte_carlo(inst, matching, samples=samples, seed=seed).value
+            assert got.hex() == _one_shot_pros(inst, matching, samples, seed).hex()
+
+
+@pytest.mark.parametrize("kind", MC_KINDS + ["uniform1", "uniform7", "uniform8", "uniform9"])
+def test_sample_weights_in_pieces_equal_one_draw(kind):
+    dist = _mc_instance(kind, 0).weight_dists[0]
+    for seed in range(20):
+        whole = one_shot_weights(dist, 300, np.random.default_rng(seed))
+        assert prob.sample_weights(dist, 300, np.random.default_rng(seed)).tobytes() == whole.tobytes()
+        rng = np.random.default_rng(seed)
+        pieces = np.concatenate([prob.sample_weights(dist, k, rng) for k in (1, 7, 160, 132)])
+        assert pieces.tobytes() == whole.tobytes()
+
+
+def test_pros_monte_carlo_memory_does_not_grow_with_samples():
+    inst = gen_random(4, 4, num_features=3, seed=2)
+    matching = Matching((0, 1, 2, 3))
+    assert any(textbook_blockers(inst, matching, s) for s in range(inst.n))
+    tracemalloc.start()
+    try:
+        pros_monte_carlo(inst, matching, samples=2_000_000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
 
 
 # ---------------------------------------------------------------------------
