@@ -31,7 +31,6 @@ from .model import (
     parse_instance,
     parse_rational,
     serialize_instance,
-    validate_matching,
 )
 from .oracle import (
     DEFAULT_BUDGET, DEFAULT_SEED, BudgetExceededError, ExperimentConfig, audit_ic, optimal_pros, run_experiment
@@ -155,9 +154,6 @@ def _cmd_pros(args) -> int:
     if not isinstance(doc, dict):
         raise ParseError("matching file must be a JSON object of student id -> college id or null")
     matching = Matching.from_ids(inst, doc)
-    verdict = validate_matching(inst, matching)
-    if not verdict.ok:
-        raise ModelError(f"infeasible matching: {verdict.violations[0]}")
     res = _evaluate_pros(inst, matching, args.samples, args.seed, force_mc=args.mc)
     if args.format == "json":
         _emit(args, json.dumps({"matching": matching.to_ids(inst), "pros": _pros_json(res)}, indent=2))

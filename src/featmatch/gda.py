@@ -112,7 +112,6 @@ class GdaRound:
 @dataclass(frozen=True)
 class GdaTrace:
     rounds: tuple[GdaRound, ...]
-    final: Matching
 
 
 def run_gda(
@@ -156,5 +155,4 @@ def run_gda(
                 rejections.append((c, s))
         rounds.append(GdaRound(proposals=tuple(proposals), rejections=tuple(sorted(rejections))))
 
-    final = Matching(tuple(assigned))
-    return final, GdaTrace(rounds=tuple(rounds), final=final)
+    return Matching(tuple(assigned)), GdaTrace(rounds=tuple(rounds))

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
@@ -142,11 +141,10 @@ def integer_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 # Each kind owns its math.  ``mean`` is the componentwise weight expectation;
-# ``expected(values)`` is E[sum_f w_f * values[f]]; ``w1_measure(lo, hi,
-# open_lo, open_hi)`` is the probability that the first feature's weight lies
-# between lo and hi (two features only, ends in [0, 1], each end closed unless
-# its flag is set); ``sample(k, rng)`` draws k weight vectors as a (k, dim)
-# float array; ``to_dict`` is the JSON form.  Uniform and discrete results are
+# ``expected(values)`` is E[sum_f w_f * values[f]]; ``w1_measure(lo, hi)`` is
+# the probability that the first feature's weight lies in the closed interval
+# [lo, hi] (two features only, ends in [0, 1]); ``sample(k, rng)`` draws k
+# weight vectors as a (k, dim) float array; ``to_dict`` is the JSON form.  Uniform and discrete results are
 # exact Fractions, beta results are floats; ``exact`` says which.
 
 
@@ -168,8 +166,8 @@ class UniformSimplex:
     def expected(self, values) -> Fraction:
         return sum(values) / Fraction(self.dim)
 
-    def w1_measure(self, lo, hi, open_lo: bool = False, open_hi: bool = False) -> Fraction:
-        # w_f1 is uniform on [0, 1], so the open/closed choice has measure zero
+    def w1_measure(self, lo, hi) -> Fraction:
+        # w_f1 is uniform on [0, 1]
         return hi - lo if lo <= hi else Fraction(0)
 
     def sample(self, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -249,16 +247,14 @@ class DiscreteWeights:
         # w . values is linear in w, so its expectation is mean . values
         return sum((m * v for m, v in zip(self.mean, values)), Fraction(0))
 
-    def w1_measure(self, lo, hi, open_lo: bool = False, open_hi: bool = False) -> Fraction:
+    def w1_measure(self, lo, hi) -> Fraction:
         W, dw, _, _ = self.kernel
         lo, hi = Fraction(lo), Fraction(hi)
         # w_f1 = W[:, 0] / dw against an end n / d is W[:, 0] * d against n * dw;
         # support weights are at most 1, so W[:, 0] * d is at most dw * d
         bound = dw * max(lo.denominator, hi.denominator, abs(lo.numerator), abs(hi.numerator))
         w1 = W[:, 0].astype(_int_dtype(bound), copy=False)
-        above = (operator.gt if open_lo else operator.ge)(w1 * lo.denominator, lo.numerator * dw)
-        below = (operator.lt if open_hi else operator.le)(w1 * hi.denominator, hi.numerator * dw)
-        return self.mass(above & below)
+        return self.mass((w1 * lo.denominator >= lo.numerator * dw) & (w1 * hi.denominator <= hi.numerator * dw))
 
     @cached_property
     def _float_atoms(self) -> tuple[np.ndarray, np.ndarray]:
@@ -308,8 +304,7 @@ class BetaWeights:
         m1, m2 = self.mean
         return m1 * float(values[0]) + m2 * float(values[1])
 
-    def w1_measure(self, lo, hi, open_lo: bool = False, open_hi: bool = False) -> float:
-        # continuous, so the open/closed choice has measure zero
+    def w1_measure(self, lo, hi) -> float:
         if lo > hi:
             return 0.0
         return max(0.0, self._cdf(hi) - self._cdf(lo))
@@ -458,9 +453,6 @@ class Instance:
             return self.colleges.index(cid)
         except ValueError:
             raise ValidationError(f"unknown college id: {cid!r}") from None
-
-    def utility(self, s: int, f: int, c: int) -> Fraction:
-        return self.utilities[s][f][c]
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@ stability search, approximation ratios, the random-trial ratio experiment,
 incentive audits and transitivity checks.
 
 The audits try a finite misreport space (all deterministic strict orders,
-encoded as identical utility columns), so "no violation found" is evidence
-against manipulability, not a certification over the infinite report space.
+encoded as identical utility columns, and the truthful report), so "no
+violation found" is evidence against manipulability, not a certification
+over the infinite report space.
 
-The default space is scanned by menus.  A GDA run is textbook deferred
+The space is scanned by menus.  A GDA run is textbook deferred
 acceptance over fixed proposal orders (see ``gda``), and every other
 student's order lives in her own table, so it does not depend on what
 student s reports.  Student-proposing deferred acceptance is strategy-proof
@@ -17,6 +18,15 @@ deterministic strict-order report has 0/1 pairwise probabilities, so under
 every rule her proposal order is exactly that order.  Hence one rerun per
 college finds the menu: c is in it iff s gets c when she ranks c first.
 Each of the m! orders then gets its first college in the menu, or nothing.
+
+The scan also covers every utility-table report (``Instance.with_report``),
+ties included.  Under any such report the student proposes down one full
+order that the report alone fixes (the prefix property in ``gda``), so her
+outcome is the first college of that order in her menu, and the strict order
+that ranks that college first reaches it too.  An improvement probability
+depends only on the outcome, so no utility-table report finds a violation
+that the strict orders miss.  Misreported weight distributions are not in
+the space.
 
 The optimum is found by depth-first branch and bound (Land & Doig 1960).
 Students are placed in index order and each tries the options of
@@ -55,7 +65,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -369,7 +379,6 @@ def _menu(inst: Instance, strategy: Strategy, s: int, samples, seed) -> set[int]
 def improvement_scan(
     inst: Instance,
     strategy: Strategy,
-    misreport_space: Union[Iterable[tuple[str, tuple]], None] = None,
     budget: int = 250_000,
     samples: int = DEFAULT_SAMPLES,
     seed: Union[int, None] = None,
@@ -378,18 +387,14 @@ def improvement_scan(
     improvement probability) with positive improvement probability under
     the true preferences, student by student in misreport order.
 
-    The default space is every deterministic strict order plus the student's
-    own truthful report (a sanity anchor whose outcome is the truthful one).
-    It is scanned by menus (see the module docstring): m reruns per student
+    The space is every deterministic strict order plus the student's own
+    truthful report (a sanity anchor whose outcome is the truthful one).  It
+    is scanned by menus (see the module docstring): m reruns per student
     instead of m! + 1, since with the others' reports fixed her outcome under
     any report is her favourite college in her menu (Dubins & Freedman 1981;
-    Hammond 1979).  A caller-supplied ``misreport_space`` reruns the
-    mechanism under each of its reports."""
-    if misreport_space is None:
-        reports = math.factorial(inst.m) + 1
-    else:
-        shared = list(itertools.islice(misreport_space, budget + 1))
-        reports = len(shared)
+    Hammond 1979).  Every utility-table report reaches an outcome that some
+    strict order reaches, so the scan covers that whole space."""
+    reports = math.factorial(inst.m) + 1
     if inst.n * reports > budget:
         raise BudgetExceededError(
             f"misreport space too large: {inst.n} students x {reports} reports > budget {budget}"
@@ -398,23 +403,14 @@ def improvement_scan(
     improvements = []
     for s in range(inst.n):
         old_c = truthful.college_of(s)
-        if misreport_space is None:
-            menu = _menu(inst, strategy, s, samples, seed)
-            outcomes = (
-                (_order_label(inst, perm), next((c for c in perm if c in menu), None))
-                for perm in itertools.permutations(range(inst.m))
-            )
-        else:
-            outcomes = (
-                (label, run_gda(inst.with_report(s, rows), strategy, samples=samples, seed=seed)[0].college_of(s))
-                for label, rows in shared
-            )
+        menu = _menu(inst, strategy, s, samples, seed)
         probs = {}  # new college -> improvement probability
-        for label, new_c in outcomes:
+        for perm in itertools.permutations(range(inst.m)):
+            new_c = next((c for c in perm if c in menu), None)
             if new_c not in probs:
                 probs[new_c] = _improvement_prob(inst, s, new_c, old_c, samples, seed)
             if probs[new_c] > 0:
-                improvements.append((s, label, probs[new_c]))
+                improvements.append((s, _order_label(inst, perm), probs[new_c]))
     return inst.n * reports, improvements
 
 
@@ -422,16 +418,16 @@ def audit_ic(
     inst: Instance,
     strategy: Strategy,
     level: str = "ic-c",
-    misreport_space: Union[Iterable[tuple[str, tuple]], None] = None,
     budget: int = 250_000,
     samples: int = DEFAULT_SAMPLES,
     seed: Union[int, None] = None,
 ) -> IcAuditReport:
     """Record every misreport whose assignment beats the truthful one with
-    certainty (ic-c) or with probability above 1/2 (ic-r)."""
+    certainty (ic-c) or with probability above 1/2 (ic-r), over the space
+    that ``improvement_scan`` scans."""
     if level not in ("ic-c", "ic-r"):
         raise ValidationError("audit level must be 'ic-c' or 'ic-r'")
-    tried, improvements = improvement_scan(inst, strategy, misreport_space, budget, samples, seed)
+    tried, improvements = improvement_scan(inst, strategy, budget, samples, seed)
     bound = Fraction(1) if level == "ic-c" else Fraction(1, 2)
     violations = tuple(
         IcViolation(inst.students[s], label, prob)
@@ -456,12 +452,9 @@ def check_transitivity(
     weak(j,k) >= 1/2 but weak(i,k) < 1/2, or None.  Two-feature instances
     can never produce one; three or more features can."""
     half = Fraction(1, 2)
-    weak = {}
 
-    def w(a, b):
-        if (a, b) not in weak:
-            weak[(a, b)] = pr_prefers(inst, s, a, b, strict=False, samples=samples, seed=seed)
-        return weak[(a, b)]
+    def w(a, b):  # a lookup: pr_prefers reads the table's strict row or its memoized estimate
+        return pr_prefers(inst, s, a, b, strict=False, samples=samples, seed=seed)
 
     for i, j, k in itertools.permutations(range(inst.m), 3):
         if w(i, j) >= half and w(j, k) >= half and w(i, k) < half:

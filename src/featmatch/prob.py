@@ -19,7 +19,7 @@ holds its support as ``W / dw`` and its probabilities as ``P / dp``, and a
 student's utilities are ``U / du`` (``model.integer_matrix``), so the atom
 scores ``W @ U`` are exact integers and an event over atoms has probability
 ``DiscreteWeights.mass(mask)``, an integer sum over ``dp``.  The strict
-table, ``pr_top`` and ``pros_exact_discrete`` all go through it.
+table, ``_factor`` and ``pros_exact_discrete`` all go through it.
 
 Potential blockers come from one integer cutoff per college and matching
 (``_cutoffs``): n while the college has a free seat, else the worst
@@ -29,7 +29,9 @@ only on her table, her college and her set of blockers, so the table also
 holds a factor memo under that key (``_factor``: the weight window for two
 features, the atom mask for discrete weights), and ``pros_exact_2f`` stops at
 the first zero factor when every weight distribution is exact.
-``oracle.optimal_pros`` reads the same memo.
+``oracle.optimal_pros`` reads the same memo, and so does ``pr_top``: "c
+weakly beats every rival" is "no rival strictly beats c", the factor of c
+against the rivals as blockers.
 
 On the Monte Carlo path an estimate depends only on the seed, its substream
 key and the sample count.  ``_mc_counts`` draws the substream's weights in
@@ -39,7 +41,9 @@ not grow with the sample count; the blocks give the same floats as one draw
 of every row.  A fraction is a count over the sample count.  The table keeps
 each estimate under its (samples, seed): both strict fractions of a college
 pair from one pass over the pair's substream, and each top-rank fraction, so
-repeated comparisons cost a lookup and stay bit-identical.
+repeated comparisons cost a lookup and stay bit-identical.  A no-block
+fraction in ``pros_monte_carlo`` counts the same top-rank event, match
+against blockers, on the student's own substream.
 """
 
 from __future__ import annotations
@@ -149,9 +153,11 @@ def _case_prob(dist: WeightDistribution, case: PairwiseCase) -> Prob:
         return Fraction(1)
     if case.tag == NEVER:
         return Fraction(0)
+    # only uniform and beta students reach here (discrete strict probabilities
+    # come from the atoms), so whether an end is open changes no measure
     if case.tag == THRESHOLD_ABOVE:
-        return dist.w1_measure(case.eta, 1, open_lo=True)
-    return dist.w1_measure(0, case.eta, open_hi=True)
+        return dist.w1_measure(case.eta, 1)
+    return dist.w1_measure(0, case.eta)
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +274,6 @@ def _weakly_tops(c: int, rivals: list[int]):
     return lambda scores: (scores[:, [c]] >= scores[:, rivals]).all(axis=1)
 
 
-def _some_beats(candidates: list[int], match: int):
-    """Some candidate college scores strictly above the match."""
-    return lambda scores: (scores[:, candidates] > scores[:, [match]]).any(axis=1)
-
-
 # ---------------------------------------------------------------------------
 # pairwise and top-rank probabilities
 # ---------------------------------------------------------------------------
@@ -322,31 +323,25 @@ def pr_top(
 ) -> Prob:
     """Probability that c weakly beats every other pool member at once.
 
-    For two features the per-opponent weak events are threshold intervals on
-    the first feature's weight, so the answer is the measure of their
-    intersection; discrete supports are scored atom by atom at any dimension.
+    This is the event "no rival strictly beats c", so on the exact path it is
+    the stability factor of c against the rivals (``_factor``) and lands in,
+    and reuses, the same memo in the student's table.
     """
     pool = sorted(set(pool))
     if c not in pool:
         raise ValidationError("college must belong to the pool")
-    rivals = [d for d in pool if d != c]
+    rivals = tuple(d for d in pool if d != c)
     if not rivals:
         return Fraction(1)
     facts = _facts(inst, s)
-    if facts.strict is None:
-        _check_mc(samples, seed)
-        key = (samples, seed, c, tuple(rivals))
-        if key not in facts.estimates:
-            (top,) = _mc_counts(inst, s, samples, seed, (s, c, 104729), (_weakly_tops(c, rivals),))
-            facts.estimates[key] = top / samples
-        return facts.estimates[key]
-    if facts.atoms is not None:
-        return inst.weight_dists[s].mass((facts.atoms[:, [c]] >= facts.atoms[:, rivals]).all(axis=1))
-    window = _window(facts, c, rivals)
-    dist = inst.weight_dists[s]
-    if window is None:
-        return dist.w1_measure(1, 0)  # an empty window: the distribution's zero
-    return dist.w1_measure(*window)
+    if facts.strict is not None:
+        return _factor(inst, s, c, rivals)
+    _check_mc(samples, seed)
+    key = (samples, seed, c, rivals)
+    if key not in facts.estimates:
+        (top,) = _mc_counts(inst, s, samples, seed, (s, c, 104729), (_weakly_tops(c, list(rivals)),))
+        facts.estimates[key] = top / samples
+    return facts.estimates[key]
 
 
 # ---------------------------------------------------------------------------
@@ -434,9 +429,10 @@ _EXACT_ZERO = ProsResult(value=_ZERO, kind="exact")
 
 def _factor(inst: Instance, s: int, match, blockers: tuple[int, ...]) -> Prob:
     """Student s's stability factor: the probability that no blocker strictly
-    beats her match.  With two features it is the measure of a window of
-    first-feature weights; otherwise (discrete weights only) it is the mass of
-    the atoms where ``W @ (u_c - u_match) <= 0`` for every blocker c, as
+    beats her match (``pr_top`` asks the same of a college and its rivals).
+    With two features it is the measure of a window of first-feature weights;
+    otherwise (discrete weights only) it is the mass of the atoms where
+    ``W @ (u_c - u_match) <= 0`` for every blocker c, as
     ``pros_exact_discrete`` computes it.  It depends only on her table, her
     college and her blockers, so her table memoizes it under that key (at
     most m * 2^(m-1) entries).  Fewer blockers never give a smaller factor."""
@@ -531,7 +527,9 @@ def pros_monte_carlo(inst: Instance, matching: Matching, samples: int, seed: int
         if not candidates:
             fractions.append(1.0)
             continue
-        (blocked,) = _mc_counts(inst, s, samples, seed, (s,), (_some_beats(candidates, match),))
+        (kept,) = _mc_counts(inst, s, samples, seed, (s,), (_weakly_tops(match, candidates),))
+        # 1 - blocked / samples can differ from kept / samples in the last bit; seeded estimates keep the former
+        blocked = samples - kept
         fractions.append(1.0 - blocked / samples)
     value = float(np.prod(fractions))
     # Var(prod X_s) = prod(var_s + mean_s^2) - prod(mean_s^2), plug-in estimates

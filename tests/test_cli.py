@@ -1,11 +1,16 @@
 import json
+import os
 import re
+import tempfile
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from featmatch import goldens
+from featmatch import gen_random, goldens, parse_instance, serialize_instance
 from featmatch.cli import ExperimentConfig, experiment_csv, experiment_svg, main, run_experiment
+from featmatch.model import Instance, ModelError
 from featmatch.svg import BoxStats
 
 from helpers import malformed_documents
@@ -68,7 +73,10 @@ def test_pros_command(ex1_path, tmp_path, capsys):
 def test_pros_rejects_infeasible(ex1_path, tmp_path, capsys):
     mpath = tmp_path / "bad.json"
     mpath.write_text(json.dumps({"s1": "c1", "s2": "c1", "s3": "c2"}))
-    assert main(["pros", ex1_path, "--matching", str(mpath)]) == 2
+    for extra in ([], ["--mc"]):
+        capsys.readouterr()
+        assert main(["pros", ex1_path, "--matching", str(mpath), *extra]) == 2
+        assert "error: infeasible matching: " in capsys.readouterr().err
 
 
 def test_optimal_command(ex1_path, capsys):
@@ -226,3 +234,61 @@ def test_box_stats():
     assert st.whisker_hi == 4.0
     st2 = BoxStats([0.5])
     assert st2.median == st2.q1 == st2.q3 == 0.5
+
+
+# ---------------------------------------------------------------------------
+# any single-path edit of a valid document parses or fails as an input error
+# ---------------------------------------------------------------------------
+
+FUZZ_DOCUMENTS = [
+    json.loads(serialize_instance(gen_random(2, 2, dist_kind=kind, seed=1)))
+    for kind in ("uniform_simplex", "discrete", ("beta2", 2.0, 5.0))
+]
+
+
+def _paths(node, prefix=()):
+    """Every key or index path below a JSON node."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=6),
+    st.integers(-(10**20), 10**20),
+    st.floats(),
+    st.lists(st.one_of(st.none(), st.integers(-3, 3), st.text(max_size=3)), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.one_of(st.none(), st.integers(-3, 3)), max_size=2),
+)
+
+
+@settings(max_examples=200)
+@given(data=st.data(), which=st.integers(0, len(FUZZ_DOCUMENTS) - 1), delete=st.booleans())
+def test_single_path_edits_parse_or_raise_model_error(data, which, delete):
+    doc = json.loads(json.dumps(FUZZ_DOCUMENTS[which]))
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if delete:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(JSON_VALUES)
+    text = json.dumps(doc)
+    try:
+        assert isinstance(parse_instance(text), Instance)
+    except ModelError:
+        pass
+    with tempfile.TemporaryDirectory() as tmp:
+        target = os.path.join(tmp, "edited.json")
+        with open(target, "w") as fh:
+            fh.write(text)
+        assert main(["solve", target, "--strategy", "heuf"]) in (0, 2, 3)

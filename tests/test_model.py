@@ -222,7 +222,7 @@ def test_scipy_special_is_imported_only_for_beta_weights():
         assert BetaWeights(alpha, beta).w1_measure(lo, hi).hex() == want
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     seed=st.integers(0, 10**6),
     kind=st.sampled_from(["uniform_simplex", "discrete", ("beta2", 2.0, 5.0)]),

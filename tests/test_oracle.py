@@ -40,7 +40,7 @@ def test_enumeration_counts():
     assert sum(1 for _ in enumerate_matchings(gen_random(3, 3, seed=1))) == 34
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(n=st.integers(1, 4), m=st.integers(1, 3))
 def test_enumeration_matches_closed_form_and_is_duplicate_free(n, m):
     inst = gen_random(n, m, seed=n * 10 + m)
@@ -103,7 +103,7 @@ def test_optimal_pros_mixed_exact_and_closed_form_students():
         _check_optimum(replace(base, weight_dists=tuple(dists)))
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
+@settings(max_examples=60)
 @given(
     seed=st.integers(0, 10**6),
     n=st.integers(1, 5),
@@ -220,14 +220,13 @@ def test_audit_icr_conflict_family():
 
 
 def test_truthful_replication_never_improves():
+    # the truthful anchor is counted among the reports tried, and its outcome
+    # is the truthful one, so it is never listed as an improvement
     inst = worked_example(1)
     for strategy in Strategy:
-        truth, _ = run_gda(inst, strategy)
-        # feed each student's own truthful utilities back as the "misreport"
-        for s in range(inst.n):
-            space = [("truthful", inst.utilities[s])]
-            _, improvements = improvement_scan(inst, strategy, misreport_space=space)
-            assert all(who != s for who, _, _ in improvements)
+        tried, improvements = improvement_scan(inst, strategy)
+        assert tried == inst.n * 7
+        assert all(label != "truthful" for _, label, _ in improvements)
 
 
 def test_audit_budget():
@@ -243,10 +242,6 @@ def test_audit_budget_is_checked_before_the_space_is_built():
     with pytest.raises(BudgetExceededError, match="misreport space too large"):
         audit_ic(inst, Strategy.HEUF)
     assert time.perf_counter() - start < 1.0
-    # a caller-supplied space is read only up to one report past the budget
-    endless = itertools.repeat(("truthful", inst.utilities[0]))
-    with pytest.raises(BudgetExceededError, match="misreport space too large"):
-        improvement_scan(inst, Strategy.HEUF, misreport_space=endless, budget=10)
 
 
 def test_audit_finds_beta_skew_heuf_violation():
