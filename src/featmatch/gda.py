@@ -15,9 +15,10 @@ acceptance (Gale & Shapley 1962) over those orders.  Each student's order is
 a list in her pairwise-facts table (``prob._facts``) under (rule, samples,
 seed): one ranking for HEUF and LOCV, one step at a time as far as a run
 walks it for LOICV and HERF.  ``Instance.with_report`` keeps the other
-students' tables, orders included.  With point-mass weight
-distributions the outcome coincides with textbook deferred acceptance on
-the induced strict preferences.
+students' tables, orders included; the audit's menu probes skip it and pass
+the misreporter's order straight to the round loop (``_run_orders``).  With
+point-mass weight distributions the outcome coincides with textbook deferred
+acceptance on the induced strict preferences.
 """
 
 from __future__ import annotations
@@ -122,8 +123,16 @@ def run_gda(
 ) -> tuple[Matching, GdaTrace]:
     """Run deferred acceptance under the given proposing strategy."""
     strategy = Strategy(strategy)
-    key = (strategy, samples, seed)
-    orders = [_facts(inst, s).orders.setdefault(key, []) for s in range(inst.n)]
+    return _run_orders(inst, strategy, _table_orders(inst, strategy, samples, seed), samples, seed)
+
+
+def _table_orders(inst: Instance, strategy: Strategy, samples: int, seed) -> list[list[int]]:
+    """Every student's proposal order under the rule: the lists in the tables."""
+    return [_facts(inst, s).orders.setdefault((strategy, samples, seed), []) for s in range(inst.n)]
+
+
+def _run_orders(inst: Instance, strategy: Strategy, orders: list[list[int]], samples: int, seed) -> tuple[Matching, GdaTrace]:
+    """Deferred acceptance down the orders, each lengthened by ``_extend`` when it runs out."""
     proposed = [0] * inst.n  # how far each student has walked her order
     assigned: list[Union[int, None]] = [None] * inst.n
     held: list[list[int]] = [[] for _ in range(inst.m)]

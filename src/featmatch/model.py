@@ -84,8 +84,10 @@ def parse_rational(value) -> Fraction:
             raise ParseError(f"malformed document: non-finite number {value!r}")
         return Fraction(repr(value))
     if isinstance(value, str):
+        num, slash, den = value.partition("/")
+        digits = value.isascii() and num.isdigit() and (den.isdigit() or not slash)  # skip the regex
         try:
-            return Fraction(value)
+            return Fraction(int(num), int(den or 1)) if digits else Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"malformed document: bad rational {value!r}") from exc
     raise ParseError(f"malformed document: expected a rational, got {type(value).__name__}")

@@ -16,8 +16,9 @@ under any report is her favourite college, by that report, in a menu that
 her report does not change (Hammond 1979, the taxation principle).  A
 deterministic strict-order report has 0/1 pairwise probabilities, so under
 every rule her proposal order is exactly that order.  Hence one rerun per
-college finds the menu: c is in it iff s gets c when she ranks c first.
-Each of the m! orders then gets its first college in the menu, or nothing.
+college finds the menu: c is in it iff s gets c when she ranks c first, and
+the probe walks that order directly, building no report table.  Each of the
+m! orders then gets its first college in the menu, or nothing.
 
 The scan also covers every utility-table report (``Instance.with_report``),
 ties included.  Under any such report the student proposes down one full
@@ -69,7 +70,7 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from .gda import Strategy, run_gda
+from .gda import Strategy, _run_orders, _table_orders, run_gda
 from .instances import gen_random
 from .model import DiscreteWeights, Instance, Matching, ProsResult, ValidationError, format_rational
 from .prob import DEFAULT_SAMPLES, _factor, _product_result, pr_prefers, pros_exact
@@ -365,12 +366,14 @@ def _improvement_prob(inst: Instance, s: int, new_c, old_c, samples, seed):
 
 def _menu(inst: Instance, strategy: Strategy, s: int, samples, seed) -> set[int]:
     """The colleges student s can get by some report, the others' reports
-    fixed: c is in it iff she gets c when her report ranks c first and the
-    other colleges after it by index."""
+    fixed: c is in it iff she gets c proposing to c first, then to the other
+    colleges by index.  That order is walked directly and stored in no table."""
+    strategy = Strategy(strategy)
+    orders = _table_orders(inst, strategy, samples, seed)
     menu = set()
     for c in range(inst.m):
-        perm = [c] + [d for d in range(inst.m) if d != c]
-        outcome, _ = run_gda(inst.with_report(s, _order_rows(inst, perm)), strategy, samples=samples, seed=seed)
+        orders[s] = [c] + [d for d in range(inst.m) if d != c]
+        outcome, _ = _run_orders(inst, strategy, orders, samples, seed)
         if outcome.college_of(s) == c:
             menu.add(c)
     return menu

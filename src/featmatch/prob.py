@@ -11,8 +11,9 @@ path is rational; estimation is never silently substituted.
 
 A student's pairwise facts depend only on her own utilities and weights, so
 they are built once into a per-student table on ``Instance.pair_facts`` (see
-``_facts``); ``Instance.with_report`` keeps the other students' tables.  The
-table also holds the student's proposal order under each rule (see ``gda``).
+``_facts``), which also holds her proposal order under each rule (see
+``gda``).  ``Instance.with_report`` keeps the other students' tables; the
+audit's menu probes build no report at all (see ``oracle``).
 
 Discrete weights are evaluated on integers.  A distribution's ``kernel``
 holds its support as ``W / dw`` and its probabilities as ``P / dp``, and a

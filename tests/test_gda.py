@@ -172,7 +172,8 @@ def test_point_mass_degenerates_to_textbook_da(seed, strategy):
 
 # Each student's proposal order lives in her table under (rule, samples,
 # seed).  The checks below compare runs on a warm instance, whose tables
-# already hold orders for other rules and seeds, against runs on a freshly
+# already hold orders for other rules and seeds and have been through an
+# improvement scan under every rule, against runs on a freshly
 # built one, against the step-by-step Next() chain, and, through the menu
 # scan, against an improvement scan that builds a fresh instance for every
 # misreport (helpers.full_rerun_scan).
@@ -208,6 +209,7 @@ def test_memoized_orders_match_fresh_instances(k, dist):
                     for other in MEMO_SETTINGS:
                         if (other_rule, other) != (rule, setting):
                             run_gda(warm, other_rule, **other)
+                        improvement_scan(warm, other_rule, **other)  # its probes must leave no order in a table
                 assert _outcome(warm, rule, setting) == _outcome(replace(base), rule, setting)
 
 

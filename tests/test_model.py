@@ -70,6 +70,20 @@ def test_parse_rational_forms():
     assert format_rational(F(3)) == "3"
 
 
+@settings(max_examples=300)
+@given(st.text(alphabet="0123456789/.-+ _e\u0663", max_size=8))
+def test_parse_rational_agrees_with_fraction(text):
+    # the ASCII "p" and "p/q" fast path gives Fraction(str)'s value, and every
+    # string Fraction rejects (zero denominators included) is a ParseError
+    try:
+        want = F(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ParseError, match="bad rational"):
+            parse_rational(text)
+    else:
+        assert parse_rational(text) == want
+
+
 def test_parse_example_document_equals_builtin():
     inst = parse_instance(json.dumps(EX1_JSON))
     assert inst.n == 3 and inst.m == 3 and inst.num_features == 2
