@@ -15,10 +15,14 @@ acceptance (Gale & Shapley 1962) over those orders.  Each student's order is
 a list in her pairwise-facts table (``prob._facts``) under (rule, samples,
 seed): one ranking for HEUF and LOCV, one step at a time as far as a run
 walks it for LOICV and HERF.  ``Instance.with_report`` keeps the other
-students' tables, orders included; the audit's menu probes skip it and pass
-the misreporter's order straight to the round loop (``_run_orders``).  With
-point-mass weight distributions the outcome coincides with textbook deferred
-acceptance on the induced strict preferences.
+students' tables, orders included.  The audit's menu probes build no report:
+they run the round loop (``_run_orders``) once with the misreporter left
+out, then walk one rejection chain per college from its final state
+(``_keeps``), since deferred acceptance reaches the same matching whatever
+order the proposals come in (McVitie & Wilson 1971).  Only ``run_gda``
+records its rounds as a ``GdaTrace``.  With point-mass weight distributions
+the outcome coincides with textbook deferred acceptance on the induced
+strict preferences.
 """
 
 from __future__ import annotations
@@ -123,7 +127,10 @@ def run_gda(
 ) -> tuple[Matching, GdaTrace]:
     """Run deferred acceptance under the given proposing strategy."""
     strategy = Strategy(strategy)
-    return _run_orders(inst, strategy, _table_orders(inst, strategy, samples, seed), samples, seed)
+    orders = _table_orders(inst, strategy, samples, seed)
+    rounds: list[GdaRound] = []
+    assigned, _, _ = _run_orders(inst, strategy, orders, samples, seed, rounds=rounds)
+    return Matching(tuple(assigned)), GdaTrace(rounds=tuple(rounds))
 
 
 def _table_orders(inst: Instance, strategy: Strategy, samples: int, seed) -> list[list[int]]:
@@ -131,27 +138,36 @@ def _table_orders(inst: Instance, strategy: Strategy, samples: int, seed) -> lis
     return [_facts(inst, s).orders.setdefault((strategy, samples, seed), []) for s in range(inst.n)]
 
 
-def _run_orders(inst: Instance, strategy: Strategy, orders: list[list[int]], samples: int, seed) -> tuple[Matching, GdaTrace]:
-    """Deferred acceptance down the orders, each lengthened by ``_extend`` when it runs out."""
+def _run_orders(
+    inst: Instance,
+    strategy: Strategy,
+    orders: list[list[int]],
+    samples: int,
+    seed,
+    absent: Union[int, None] = None,
+    rounds: Union[list, None] = None,
+) -> tuple[list, list[list[int]], list[int]]:
+    """Deferred acceptance down the orders, each lengthened by ``_extend``
+    when it runs out, with student ``absent`` (if any) left out.  Returns
+    the final (assignment, each college's holds, how far each student walked
+    her order), and appends one ``GdaRound`` per round to ``rounds`` when
+    given a list."""
     proposed = [0] * inst.n  # how far each student has walked her order
     assigned: list[Union[int, None]] = [None] * inst.n
     held: list[list[int]] = [[] for _ in range(inst.m)]
+    students = [s for s in range(inst.n) if s != absent]
 
-    rounds: list[GdaRound] = []
     while True:
-        proposers = [s for s in range(inst.n) if assigned[s] is None and proposed[s] < inst.m]
+        proposers = [s for s in students if assigned[s] is None and proposed[s] < inst.m]
         if not proposers:
             break
-        proposals: list[tuple[int, int]] = []
         by_college: dict[int, list[int]] = {}
         for s in proposers:
             order = orders[s]
             if proposed[s] == len(order):
                 _extend(inst, strategy, s, order, samples, seed)
-            c = order[proposed[s]]
+            by_college.setdefault(order[proposed[s]], []).append(s)
             proposed[s] += 1
-            proposals.append((s, c))
-            by_college.setdefault(c, []).append(s)
 
         rejections: list[tuple[int, int]] = []
         for c, newcomers in by_college.items():
@@ -162,6 +178,39 @@ def _run_orders(inst: Instance, strategy: Strategy, orders: list[list[int]], sam
             for s in pool[inst.capacities[c] :]:
                 assigned[s] = None
                 rejections.append((c, s))
-        rounds.append(GdaRound(proposals=tuple(proposals), rejections=tuple(sorted(rejections))))
+        if rounds is not None:
+            proposals = tuple((s, orders[s][proposed[s] - 1]) for s in proposers)
+            rounds.append(GdaRound(proposals=proposals, rejections=tuple(sorted(rejections))))
 
-    return Matching(tuple(assigned)), GdaTrace(rounds=tuple(rounds))
+    return assigned, held, proposed
+
+
+def _keeps(inst: Instance, strategy: Strategy, orders, held, proposed, s: int, c: int, samples: int, seed) -> bool:
+    """Whether student s, proposing to college c after a run of
+    ``_run_orders`` that left her out and ended in (held, proposed), holds c
+    once deferred acceptance ends.  The matching does not depend on the
+    order of proposals (McVitie & Wilson 1971), so only the one rejection
+    chain her proposal starts is walked: each displaced or rejected student
+    proposes down her order.  It ends when someone takes a free seat or runs
+    out of colleges (s keeps c), or when s is rejected at c or displaced from
+    it.  ``held`` and ``proposed`` are read, never written."""
+    holds: dict[int, list[int]] = {}  # copy-on-write of held
+    walked: dict[int, int] = {}  # copy-on-write of proposed
+    t, d = s, c  # t proposes to d
+    while True:
+        rank, seats = inst.college_rank[d], holds.get(d, held[d])
+        if len(seats) < inst.capacities[d]:
+            return True
+        worst = max(seats, key=rank.__getitem__)
+        if rank[t] < rank[worst]:
+            holds[d] = [t if x == worst else x for x in seats]
+            t = worst
+        if t == s:
+            return False
+        k = walked.get(t, proposed[t])
+        if k == inst.m:
+            return True
+        order = orders[t]
+        if k == len(order):
+            _extend(inst, strategy, t, order, samples, seed)
+        d, walked[t] = order[k], k + 1

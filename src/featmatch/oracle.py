@@ -15,10 +15,14 @@ for students (Dubins & Freedman 1981), so with the others fixed, s's outcome
 under any report is her favourite college, by that report, in a menu that
 her report does not change (Hammond 1979, the taxation principle).  A
 deterministic strict-order report has 0/1 pairwise probabilities, so under
-every rule her proposal order is exactly that order.  Hence one rerun per
-college finds the menu: c is in it iff s gets c when she ranks c first, and
-the probe walks that order directly, building no report table.  Each of the
-m! orders then gets its first college in the menu, or nothing.
+every rule her proposal order is exactly that order, so c is in her menu
+iff she gets c when she ranks c first.  Deferred acceptance reaches the same
+matching whatever order the proposals come in (McVitie & Wilson 1971), so
+the menu is found by one run without s plus one rejection chain per college:
+s proposes to c in that run's final state, and the chain her proposal starts
+either ends with her still holding c or displaces her (``gda._keeps``).  No
+report table is built.  Each of the m! orders then gets its first college in
+the menu, or nothing.
 
 The scan also covers every utility-table report (``Instance.with_report``),
 ties included.  Under any such report the student proposes down one full
@@ -70,7 +74,7 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from .gda import Strategy, _run_orders, _table_orders, run_gda
+from .gda import Strategy, _keeps, _run_orders, _table_orders, run_gda
 from .instances import gen_random
 from .model import DiscreteWeights, Instance, Matching, ProsResult, ValidationError, format_rational
 from .prob import DEFAULT_SAMPLES, _factor, _product_result, pr_prefers, pros_exact
@@ -366,17 +370,14 @@ def _improvement_prob(inst: Instance, s: int, new_c, old_c, samples, seed):
 
 def _menu(inst: Instance, strategy: Strategy, s: int, samples, seed) -> set[int]:
     """The colleges student s can get by some report, the others' reports
-    fixed: c is in it iff she gets c proposing to c first, then to the other
-    colleges by index.  That order is walked directly and stored in no table."""
+    fixed: c is in it iff she gets c proposing to c first.  Found by the run
+    without s plus one chain per college: s proposes to c in that run's final
+    state and keeps c unless the rejection chain she starts displaces her
+    (McVitie & Wilson 1971; see ``gda._keeps``)."""
     strategy = Strategy(strategy)
     orders = _table_orders(inst, strategy, samples, seed)
-    menu = set()
-    for c in range(inst.m):
-        orders[s] = [c] + [d for d in range(inst.m) if d != c]
-        outcome, _ = _run_orders(inst, strategy, orders, samples, seed)
-        if outcome.college_of(s) == c:
-            menu.add(c)
-    return menu
+    _, held, proposed = _run_orders(inst, strategy, orders, samples, seed, absent=s)
+    return {c for c in range(inst.m) if _keeps(inst, strategy, orders, held, proposed, s, c, samples, seed)}
 
 
 def improvement_scan(
@@ -392,11 +393,14 @@ def improvement_scan(
 
     The space is every deterministic strict order plus the student's own
     truthful report (a sanity anchor whose outcome is the truthful one).  It
-    is scanned by menus (see the module docstring): m reruns per student
-    instead of m! + 1, since with the others' reports fixed her outcome under
-    any report is her favourite college in her menu (Dubins & Freedman 1981;
+    is scanned by menus (see the module docstring): per student, one run
+    without her plus one rejection chain per college instead of m! + 1
+    reruns, since with the others' reports fixed her outcome under any
+    report is her favourite college in her menu (Dubins & Freedman 1981;
     Hammond 1979).  Every utility-table report reaches an outcome that some
-    strict order reaches, so the scan covers that whole space."""
+    strict order reaches, so the scan covers that whole space.  Each of the
+    at most m + 1 outcomes has its improvement probability, and its sign,
+    decided once."""
     reports = math.factorial(inst.m) + 1
     if inst.n * reports > budget:
         raise BudgetExceededError(
@@ -407,13 +411,15 @@ def improvement_scan(
     for s in range(inst.n):
         old_c = truthful.college_of(s)
         menu = _menu(inst, strategy, s, samples, seed)
-        probs = {}  # new college -> improvement probability
+        gains = {}  # menu college -> its improvement probability, when positive
+        for c in menu:
+            prob = _improvement_prob(inst, s, c, old_c, samples, seed)
+            if prob > 0:
+                gains[c] = prob
         for perm in itertools.permutations(range(inst.m)):
-            new_c = next((c for c in perm if c in menu), None)
-            if new_c not in probs:
-                probs[new_c] = _improvement_prob(inst, s, new_c, old_c, samples, seed)
-            if probs[new_c] > 0:
-                improvements.append((s, _order_label(inst, perm), probs[new_c]))
+            new_c = next((c for c in perm if c in menu), None)  # None only when the menu is empty: no gain
+            if new_c in gains:
+                improvements.append((s, _order_label(inst, perm), gains[new_c]))
     return inst.n * reports, improvements
 
 

@@ -9,6 +9,13 @@ probabilities then factor per student into the measure of one weight
 interval.  Exact rational arithmetic is used whenever every input on the
 path is rational; estimation is never silently substituted.
 
+The case split runs on integers.  A student's utility rows are ``U / du``
+(``model.integer_matrix``), and the common denominator cancels from every
+difference, so each cutoff is the integer pair ``(D2, D1 + D2)`` of the
+rows of ``U``, and ``_window`` compares window ends by cross-multiplying.
+Fractions are built only where a window or cutoff is measured
+(``w1_measure``) and for the public ``PairwiseCase`` and ``BlockInterval``.
+
 A student's pairwise facts depend only on her own utilities and weights, so
 they are built once into a per-student table on ``Instance.pair_facts`` (see
 ``_facts``), which also holds her proposal order under each rule (see
@@ -137,28 +144,29 @@ class BlockInterval:
         return self.lower > self.upper
 
 
-def _case(u1i: Fraction, u2i: Fraction, u1j: Fraction, u2j: Fraction) -> PairwiseCase:
+def _case(u1i: int, u2i: int, u1j: int, u2j: int) -> tuple:
+    """The case split of "i strictly beats j" on integer utilities: (tag,
+    eta), eta an integer pair (D2, D1 + D2) for the threshold tags, else
+    None.  In a threshold case one feature strictly favours i, so D1 + D2 > 0."""
     if u1i > u1j and u2i > u2j:
-        return PairwiseCase(ALWAYS)
+        return ALWAYS, None
     if u1i <= u1j and u2i <= u2j:
-        return PairwiseCase(NEVER)
+        return NEVER, None
     d1, d2 = abs(u1i - u1j), abs(u2i - u2j)
-    eta = Fraction(0) if d2 == 0 else d2 / (d1 + d2)
-    if u1i > u1j:
-        return PairwiseCase(THRESHOLD_ABOVE, eta)
-    return PairwiseCase(THRESHOLD_BELOW, eta)
+    return (THRESHOLD_ABOVE if u1i > u1j else THRESHOLD_BELOW), (d2, d1 + d2)
 
 
-def _case_prob(dist: WeightDistribution, case: PairwiseCase) -> Prob:
-    if case.tag == ALWAYS:
+def _case_prob(dist: WeightDistribution, case: tuple) -> Prob:
+    tag, eta = case
+    if tag == ALWAYS:
         return Fraction(1)
-    if case.tag == NEVER:
+    if tag == NEVER:
         return Fraction(0)
     # only uniform and beta students reach here (discrete strict probabilities
     # come from the atoms), so whether an end is open changes no measure
-    if case.tag == THRESHOLD_ABOVE:
-        return dist.w1_measure(case.eta, 1)
-    return dist.w1_measure(0, case.eta)
+    if tag == THRESHOLD_ABOVE:
+        return dist.w1_measure(Fraction(*eta), 1)
+    return dist.w1_measure(0, Fraction(*eta))
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +176,7 @@ def _case_prob(dist: WeightDistribution, case: PairwiseCase) -> Prob:
 
 @dataclass(frozen=True)
 class _Facts:
-    cases: Union[list, None]  # cases[ci][cj]: case split of "ci strictly beats cj"; two features only
+    cases: Union[list, None]  # cases[ci][cj]: _case of "ci strictly beats cj"; two features only
     # discrete only: the exact integer score matrix W @ U, atoms x colleges, for
     # the support W / dw and the utilities U / du (see DiscreteWeights.kernel)
     atoms: Union[np.ndarray, None]
@@ -188,12 +196,14 @@ def _facts(inst: Instance, s: int) -> _Facts:
     if facts is not None:
         return facts
     dist, k, m = inst.weight_dists[s], inst.num_features, inst.m
-    u = inst.utilities[s]
     cases = atoms = strict = None
+    if k == 2 or isinstance(dist, DiscreteWeights):
+        u = integer_matrix(inst.utilities[s])[0]  # the utilities times their common denominator
     if k == 2:
-        cases = [[_case(u[0][i], u[1][i], u[0][j], u[1][j]) for j in range(m)] for i in range(m)]
+        a, b = u.tolist()
+        cases = [[_case(a[i], b[i], a[j], b[j]) for j in range(m)] for i in range(m)]
     if isinstance(dist, DiscreteWeights):
-        atoms = integer_matmul(dist.kernel[0], integer_matrix(u)[0])
+        atoms = integer_matmul(dist.kernel[0], u)
         strict = [[dist.mass(atoms[:, i] > atoms[:, j]) for j in range(m)] for i in range(m)]
     elif cases is not None:
         strict = [[_case_prob(dist, case) for case in row] for row in cases]
@@ -203,26 +213,34 @@ def _facts(inst: Instance, s: int) -> _Facts:
 
 def _window(facts: _Facts, c: int, rivals: Iterable[int]):
     """(lo, hi): first-feature weights at which no rival strictly beats c, or
-    None if one always does.  Rivals of strict probability 0 change no measure."""
-    lo, hi = Fraction(0), Fraction(1)
+    None if one always does.  Each end is an integer pair (num, den), den > 0,
+    from the case split.  Rivals of strict probability 0 change no measure."""
+    lo, hi = (0, 1), (1, 1)
     for d in rivals:
         if facts.strict[d][c] == 0:
             continue
-        case = facts.cases[d][c]
-        if case.tag == ALWAYS:
+        tag, eta = facts.cases[d][c]
+        if tag == ALWAYS:
             return None
-        if case.tag == THRESHOLD_ABOVE:
-            hi = min(hi, case.eta)
-        else:
-            lo = max(lo, case.eta)
+        if tag == THRESHOLD_ABOVE:
+            if _below(eta, hi):
+                hi = eta
+        elif _below(lo, eta):
+            lo = eta
     return lo, hi
+
+
+def _below(a: tuple, b: tuple) -> bool:
+    """a < b for integer pairs (num, den) with den > 0, by cross-multiplying."""
+    return a[0] * b[1] < b[0] * a[1]
 
 
 def pairwise_case_2f(inst: Instance, s: int, ci: int, cj: int) -> PairwiseCase:
     """Classify Pr[ci beats cj strictly] for a two-feature student."""
     if inst.num_features != 2:
         raise ValidationError("pairwise case split requires exactly 2 features")
-    return _facts(inst, s).cases[ci][cj]
+    tag, eta = _facts(inst, s).cases[ci][cj]
+    return PairwiseCase(tag, None if eta is None else Fraction(*eta))
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +437,9 @@ def stability_interval(inst: Instance, matching: Matching, s: int) -> Union[Bloc
     if window is None:
         return None
     lo, hi = window
-    if lo > hi:
+    if _below(hi, lo):
         return BlockInterval(Fraction(1), Fraction(0))  # canonical empty window
-    return BlockInterval(lo, hi)
+    return BlockInterval(Fraction(*lo), Fraction(*hi))
 
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -449,10 +467,11 @@ def _factor(inst: Instance, s: int, match, blockers: tuple[int, ...]) -> Prob:
             factor = inst.weight_dists[s].mass((atoms[:, list(blockers)] <= atoms[:, [match]]).all(axis=1))
         else:
             window = _window(facts, match, blockers)
-            if window is None or window[0] > window[1]:
+            if window is None or _below(window[1], window[0]):
                 factor = _ZERO
             else:
-                factor = inst.weight_dists[s].w1_measure(*window)
+                lo, hi = window
+                factor = inst.weight_dists[s].w1_measure(Fraction(*lo), Fraction(*hi))
         facts.factors[key] = factor
     return factor
 

@@ -7,8 +7,9 @@ block events directly at sampled/grid weights, the atom oracles score every
 support atom afresh in Fraction arithmetic, the triangle quadrature
 integrates the three-feature preference regions numerically, the
 full-rerun scan reruns GDA under every misreport on a freshly built
-instance, and the one-shot Monte Carlo estimate draws every sample at once
-by the plain formulas.  The malformed-document list is shared by the parser
+instance, the one-shot Monte Carlo estimate draws every sample at once
+by the plain formulas, and the Fraction case split computes the
+two-feature cutoffs from the utilities as Fractions.  The malformed-document list is shared by the parser
 and CLI exit-code tests.
 """
 
@@ -23,7 +24,7 @@ import numpy as np
 from featmatch.gda import run_gda
 from featmatch.model import BetaWeights, DiscreteWeights, Instance, ParseError, ValidationError
 from featmatch.oracle import enumerate_matchings, order_misreports
-from featmatch.prob import pr_prefers, pros_exact
+from featmatch.prob import ALWAYS, NEVER, THRESHOLD_ABOVE, THRESHOLD_BELOW, pr_prefers, pros_exact
 
 
 def reference_da(student_prefs, college_prefs, capacities):
@@ -123,6 +124,19 @@ def full_rerun_scan(inst: Instance, rule, setting) -> tuple:
             if prob > 0:
                 improvements.append((s, label, prob))
     return tried, improvements
+
+
+def fraction_case(u1i: F, u2i: F, u1j: F, u2j: F) -> tuple:
+    """The two-feature case split of "i strictly beats j" in Fractions: (tag,
+    eta), with eta = D2 / (D1 + D2) (0 when D2 = 0) for the threshold tags
+    and None otherwise."""
+    if u1i > u1j and u2i > u2j:
+        return ALWAYS, None
+    if u1i <= u1j and u2i <= u2j:
+        return NEVER, None
+    d1, d2 = abs(u1i - u1j), abs(u2i - u2j)
+    eta = F(0) if d2 == 0 else d2 / (d1 + d2)
+    return (THRESHOLD_ABOVE if u1i > u1j else THRESHOLD_BELOW), eta
 
 
 def grid_pros(inst: Instance, matching, points: int = 10_000) -> float:

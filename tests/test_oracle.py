@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from featmatch import gda, oracle
 from featmatch.gda import Strategy, run_gda
 from featmatch.instances import (
     gen_random,
@@ -17,7 +18,7 @@ from featmatch.instances import (
     vanishing_ratio,
     worked_example,
 )
-from featmatch.model import BetaWeights, Matching, ValidationError
+from featmatch.model import BetaWeights, Instance, Matching, UniformSimplex, ValidationError
 from featmatch.oracle import (
     BudgetExceededError,
     audit_ic,
@@ -29,9 +30,9 @@ from featmatch.oracle import (
     optimal_pros,
     order_misreports,
 )
-from featmatch.prob import pros_exact_2f
+from featmatch.prob import DEFAULT_SAMPLES, pros_exact_2f
 
-from helpers import flat_optimum, matchings_count_closed_form
+from helpers import flat_optimum, full_rerun_scan, matchings_count_closed_form
 
 
 def test_enumeration_counts():
@@ -227,6 +228,55 @@ def test_truthful_replication_never_improves():
         tried, improvements = improvement_scan(inst, strategy)
         assert tried == inst.n * 7
         assert all(label != "truthful" for _, label, _ in improvements)
+
+
+def test_menu_chain_can_return_to_the_probed_college():
+    # Without i, x holds A and y holds B, and A ranks i above x: i clears
+    # A's cutoff in the outcome without her.  Yet i proposing to A sends x
+    # to B, which displaces y, and y returns to A and displaces i.  So A is
+    # not in i's menu, and neither is B, which ranks y above i.
+    half = F(1, 2)
+    inst = Instance(
+        students=("i", "x", "y"),
+        colleges=("A", "B"),
+        capacities=(1, 1),
+        college_prefs=((2, 0, 1), (1, 2, 0)),  # A: y > i > x; B: x > y > i
+        features=("f1", "f2"),
+        utilities=(((F(1), half),) * 2, ((F(1), half),) * 2, ((half, F(1)),) * 2),
+        weight_dists=(UniformSimplex(2),) * 3,
+    )
+    for rule in Strategy:
+        assert oracle._menu(inst, rule, 0, DEFAULT_SAMPLES, None) == set()
+        assert improvement_scan(inst, rule) == full_rerun_scan(inst, rule, {})
+
+
+def test_improvement_scan_runs_the_round_loop_once_per_student(monkeypatch):
+    # the truthful run plus one run without each student; the menu probes
+    # walk rejection chains, and only the truthful run records its rounds
+    runs, rounds = [], []
+    run_orders, gda_round = gda._run_orders, gda.GdaRound
+
+    def counted_run(*args, **kwargs):
+        runs.append(1)
+        return run_orders(*args, **kwargs)
+
+    def counted_round(*args, **kwargs):
+        rounds.append(1)
+        return gda_round(*args, **kwargs)
+
+    for seed, (n, m) in enumerate([(4, 4), (3, 4), (5, 3)]):
+        inst = gen_random(n, m, capacities="spread" if seed % 2 else "ones", seed=seed)
+        for rule in Strategy:
+            truthful_rounds = len(run_gda(replace(inst), rule)[1].rounds)
+            with monkeypatch.context() as patch:
+                patch.setattr(gda, "_run_orders", counted_run)
+                patch.setattr(oracle, "_run_orders", counted_run)
+                patch.setattr(gda, "GdaRound", counted_round)
+                runs.clear()
+                rounds.clear()
+                improvement_scan(replace(inst), rule)
+            assert len(runs) == 1 + inst.n
+            assert len(rounds) == truthful_rounds
 
 
 def test_audit_budget():

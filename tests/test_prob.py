@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from featmatch import prob
-from featmatch.model import BetaWeights, DiscreteWeights, Instance, Matching, ValidationError
+from featmatch.model import BetaWeights, DiscreteWeights, Instance, Matching, ValidationError, integer_matrix
 from featmatch.prob import (
     ALWAYS,
     NEVER,
@@ -36,6 +36,7 @@ from helpers import (
     atom_prefers,
     atom_pros,
     atom_top,
+    fraction_case,
     grid_pros,
     one_shot_mc,
     one_shot_weights,
@@ -95,6 +96,90 @@ def test_eta_zero_when_second_feature_ties():
     )
     case = pairwise_case_2f(inst2, 0, 0, 1)
     assert case.tag == THRESHOLD_ABOVE and case.eta == 0
+
+
+def _tied_instances(kind):
+    """Seeded 3x4 two-feature instances whose utilities are quarters, so
+    entries repeat and differences vanish on one feature or both, and one
+    whose utilities are 0, 1 or have denominators near 2^40, so the integer
+    utility rows overflow int64 and are Python ints."""
+    out = []
+    for seed in range(5):
+        inst = gen_random(3, 4, dist_kind=kind, seed=40 + seed)
+        rng = np.random.default_rng(seed)
+
+        def value(c):
+            if seed < 4:
+                return F(int(rng.integers(0, 5)), 4)
+            return [F(0), F(1), F(int(rng.integers(0, 2**40)), 2**40 + c)][rng.integers(0, 3)]
+
+        rows = tuple(tuple(tuple(value(c) for c in range(inst.m)) for _ in range(2)) for _ in range(inst.n))
+        out.append(replace(inst, utilities=rows))
+    return out
+
+
+def _fraction_window(inst, s, match, blockers):
+    """The no-block window of s at her match in Fractions, from
+    helpers.fraction_case: None when a blocker always beats the match.
+    Blockers of strict probability 0 change no measure and are skipped: by
+    the atom oracle for discrete weights, else by the measure beyond eta (a
+    beta measure can round to 0.0)."""
+    u, dist = inst.utilities[s], inst.weight_dists[s]
+    lo, hi = F(0), F(1)
+    for d in blockers:
+        tag, eta = fraction_case(u[0][d], u[1][d], u[0][match], u[1][match])
+        if isinstance(dist, DiscreteWeights):
+            strict = atom_prefers(inst, s, d, match)
+        elif tag in (ALWAYS, NEVER):
+            strict = int(tag == ALWAYS)
+        else:
+            strict = dist.w1_measure(eta, 1) if tag == THRESHOLD_ABOVE else dist.w1_measure(0, eta)
+        if strict == 0:
+            continue
+        if tag == ALWAYS:
+            return None
+        if tag == THRESHOLD_ABOVE:
+            hi = min(hi, eta)
+        else:
+            lo = max(lo, eta)
+    return lo, hi
+
+
+@pytest.mark.parametrize("kind", ["uniform_simplex", "discrete", ("beta2", 2.0, 5.0)])
+def test_integer_case_split_matches_fraction_reference(kind):
+    # the case split runs on integer utility rows; the Fraction formula is the
+    # reference for every ordered college pair, every reported window and
+    # every cold stability factor
+    instances = _tied_instances(kind)
+    assert any(integer_matrix(inst.utilities[0])[0].dtype == object for inst in instances)
+    for inst in instances:
+        for s in range(inst.n):
+            u = inst.utilities[s]
+            for ci, cj in itertools.product(range(inst.m), repeat=2):
+                tag, eta = fraction_case(u[0][ci], u[1][ci], u[0][cj], u[1][cj])
+                case = pairwise_case_2f(inst, s, ci, cj)
+                assert (case.tag, case.eta) == (tag, eta)
+                if eta is not None:
+                    assert type(case.eta) is F and 0 <= case.eta <= 1
+        for matching in enumerate_matchings(inst):
+            for s, match in enumerate(matching.assignment):
+                if match is None:
+                    continue
+                blockers = textbook_blockers(inst, matching, s)
+                window = _fraction_window(inst, s, match, blockers)
+                got = stability_interval(inst, matching, s)
+                if window is None:
+                    assert got is None
+                    expected = F(0)
+                elif window[0] > window[1]:
+                    assert (got.lower, got.upper) == (1, 0) and got.empty
+                    expected = F(0)
+                else:
+                    assert (got.lower, got.upper) == window
+                    assert type(got.lower) is F and type(got.upper) is F
+                    expected = inst.weight_dists[s].w1_measure(*window)
+                cold = prob._factor(replace(inst), s, match, tuple(blockers))
+                assert cold == expected and type(cold) is type(expected)
 
 
 # ---------------------------------------------------------------------------
