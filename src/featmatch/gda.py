@@ -2,9 +2,12 @@
 proposing strategies.
 
 Each round, every unmatched student who still has an unproposed college
-proposes to the college her strategy selects; each college then keeps the
-best students it can seat among current holds plus proposers and rejects
-the rest.  All ties break to the lowest college index, so runs are
+proposes to the college her strategy selects.  The round's proposals are
+taken one at a time: a free seat is taken, otherwise the college keeps the
+better of the proposer and its worst holder and rejects the other, so each
+college ends the round with the best students among its holds and proposers.
+The students rejected in a round who have colleges left propose in the next,
+in index order.  All ties break to the lowest college index, so runs are
 deterministic.
 
 Prefix property: a student proposes only while she is unmatched, and then
@@ -15,14 +18,18 @@ acceptance (Gale & Shapley 1962) over those orders.  Each student's order is
 a list in her pairwise-facts table (``prob._facts``) under (rule, samples,
 seed): one ranking for HEUF and LOCV, one step at a time as far as a run
 walks it for LOICV and HERF.  ``Instance.with_report`` keeps the other
-students' tables, orders included.  The audit's menu probes build no report:
-they run the round loop (``_run_orders``) once with the misreporter left
-out, then walk one rejection chain per college from its final state
-(``_keeps``), since deferred acceptance reaches the same matching whatever
-order the proposals come in (McVitie & Wilson 1971).  Only ``run_gda``
-records its rounds as a ``GdaTrace``.  With point-mass weight distributions
-the outcome coincides with textbook deferred acceptance on the induced
-strict preferences.
+students' tables, orders included.
+
+One round walk (``_walk``) runs deferred acceptance from any state (the seat
+holders and how far each student has walked her order) and any set of
+first-round proposers.  Deferred acceptance reaches the same matching
+whatever order the proposals come in (McVitie & Wilson 1971), so a walk from
+the end of one run with further students proposing reaches the matching of
+one run over all of them.  ``run_gda`` walks from the empty state and is the
+only caller that records its rounds as a ``GdaTrace``; the audit's menu
+probes resume the run without a student (see ``oracle``).  With point-mass
+weight distributions the outcome coincides with textbook deferred acceptance
+on the induced strict preferences.
 """
 
 from __future__ import annotations
@@ -128,8 +135,13 @@ def run_gda(
     """Run deferred acceptance under the given proposing strategy."""
     strategy = Strategy(strategy)
     orders = _table_orders(inst, strategy, samples, seed)
+    held: list[list[int]] = [[] for _ in range(inst.m)]
     rounds: list[GdaRound] = []
-    assigned, _, _ = _run_orders(inst, strategy, orders, samples, seed, rounds=rounds)
+    _walk(inst, strategy, orders, held, [0] * inst.n, list(range(inst.n)), samples, seed, rounds)
+    assigned: list[Union[int, None]] = [None] * inst.n
+    for c, seats in enumerate(held):
+        for s in seats:
+            assigned[s] = c
     return Matching(tuple(assigned)), GdaTrace(rounds=tuple(rounds))
 
 
@@ -138,79 +150,43 @@ def _table_orders(inst: Instance, strategy: Strategy, samples: int, seed) -> lis
     return [_facts(inst, s).orders.setdefault((strategy, samples, seed), []) for s in range(inst.n)]
 
 
-def _run_orders(
+def _walk(
     inst: Instance,
     strategy: Strategy,
     orders: list[list[int]],
+    held: list[list[int]],
+    proposed: list[int],
+    proposers: list[int],
     samples: int,
     seed,
-    absent: Union[int, None] = None,
     rounds: Union[list, None] = None,
-) -> tuple[list, list[list[int]], list[int]]:
-    """Deferred acceptance down the orders, each lengthened by ``_extend``
-    when it runs out, with student ``absent`` (if any) left out.  Returns
-    the final (assignment, each college's holds, how far each student walked
-    her order), and appends one ``GdaRound`` per round to ``rounds`` when
-    given a list."""
-    proposed = [0] * inst.n  # how far each student has walked her order
-    assigned: list[Union[int, None]] = [None] * inst.n
-    held: list[list[int]] = [[] for _ in range(inst.m)]
-    students = [s for s in range(inst.n) if s != absent]
-
-    while True:
-        proposers = [s for s in students if assigned[s] is None and proposed[s] < inst.m]
-        if not proposers:
-            break
-        by_college: dict[int, list[int]] = {}
+) -> None:
+    """Deferred acceptance in rounds as in the module docstring, resumed from
+    ``held`` (each college's seat holders) and ``proposed`` (how far each
+    student has walked her order), both updated in place, with ``proposers``
+    proposing in the first round.  Each order is lengthened by ``_extend``
+    when it runs out; one ``GdaRound`` per round is appended to ``rounds``
+    when given a list."""
+    caps, ranks, m = inst.capacities, inst.college_rank, inst.m
+    while proposers:
+        rejections: list[tuple[int, int]] = []
         for s in proposers:
             order = orders[s]
             if proposed[s] == len(order):
                 _extend(inst, strategy, s, order, samples, seed)
-            by_college.setdefault(order[proposed[s]], []).append(s)
+            c = order[proposed[s]]
             proposed[s] += 1
-
-        rejections: list[tuple[int, int]] = []
-        for c, newcomers in by_college.items():
-            pool = sorted(held[c] + newcomers, key=inst.college_rank[c].__getitem__)
-            held[c] = pool[: inst.capacities[c]]
-            for s in held[c]:
-                assigned[s] = c
-            for s in pool[inst.capacities[c] :]:
-                assigned[s] = None
-                rejections.append((c, s))
+            seats = held[c]
+            if len(seats) < caps[c]:
+                seats.append(s)
+                continue
+            rank = ranks[c]
+            worst = max(seats, key=rank.__getitem__)
+            if rank[s] < rank[worst]:
+                seats[seats.index(worst)] = s
+                s = worst  # the displaced holder is the one rejected
+            rejections.append((c, s))
         if rounds is not None:
             proposals = tuple((s, orders[s][proposed[s] - 1]) for s in proposers)
             rounds.append(GdaRound(proposals=proposals, rejections=tuple(sorted(rejections))))
-
-    return assigned, held, proposed
-
-
-def _keeps(inst: Instance, strategy: Strategy, orders, held, proposed, s: int, c: int, samples: int, seed) -> bool:
-    """Whether student s, proposing to college c after a run of
-    ``_run_orders`` that left her out and ended in (held, proposed), holds c
-    once deferred acceptance ends.  The matching does not depend on the
-    order of proposals (McVitie & Wilson 1971), so only the one rejection
-    chain her proposal starts is walked: each displaced or rejected student
-    proposes down her order.  It ends when someone takes a free seat or runs
-    out of colleges (s keeps c), or when s is rejected at c or displaced from
-    it.  ``held`` and ``proposed`` are read, never written."""
-    holds: dict[int, list[int]] = {}  # copy-on-write of held
-    walked: dict[int, int] = {}  # copy-on-write of proposed
-    t, d = s, c  # t proposes to d
-    while True:
-        rank, seats = inst.college_rank[d], holds.get(d, held[d])
-        if len(seats) < inst.capacities[d]:
-            return True
-        worst = max(seats, key=rank.__getitem__)
-        if rank[t] < rank[worst]:
-            holds[d] = [t if x == worst else x for x in seats]
-            t = worst
-        if t == s:
-            return False
-        k = walked.get(t, proposed[t])
-        if k == inst.m:
-            return True
-        order = orders[t]
-        if k == len(order):
-            _extend(inst, strategy, t, order, samples, seed)
-        d, walked[t] = order[k], k + 1
+        proposers = sorted(s for _, s in rejections if proposed[s] < m)

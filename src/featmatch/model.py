@@ -63,8 +63,6 @@ class ValidationError(ModelError):
 # rationals
 # ---------------------------------------------------------------------------
 
-Rational = Union[Fraction, int]
-
 
 def parse_rational(value) -> Fraction:
     """Parse ``"p/q"`` strings, decimal literals and numbers to an exact Fraction.

@@ -18,11 +18,11 @@ deterministic strict-order report has 0/1 pairwise probabilities, so under
 every rule her proposal order is exactly that order, so c is in her menu
 iff she gets c when she ranks c first.  Deferred acceptance reaches the same
 matching whatever order the proposals come in (McVitie & Wilson 1971), so
-the menu is found by one run without s plus one rejection chain per college:
-s proposes to c in that run's final state, and the chain her proposal starts
-either ends with her still holding c or displaces her (``gda._keeps``).  No
-report table is built.  Each of the m! orders then gets its first college in
-the menu, or nothing.
+the menu is found by the run without s, resumed once per college: from that
+run's final state s proposes down the strict order that ranks c first and
+the rest by index, and c is in the menu iff she ends up holding c
+(``gda._walk``).  No report table is built.  Each of the m! orders then gets
+its first college in the menu, or nothing.
 
 The scan also covers every utility-table report (``Instance.with_report``),
 ties included.  Under any such report the student proposes down one full
@@ -74,7 +74,7 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from .gda import Strategy, _keeps, _run_orders, _table_orders, run_gda
+from .gda import Strategy, _table_orders, _walk, run_gda
 from .instances import gen_random
 from .model import DiscreteWeights, Instance, Matching, ProsResult, ValidationError, format_rational
 from .prob import DEFAULT_SAMPLES, _factor, _product_result, pr_prefers, pros_exact
@@ -356,28 +356,25 @@ def order_misreports(inst: Instance) -> Iterator[tuple[str, tuple]]:
         yield _order_label(inst, perm), _order_rows(inst, perm)
 
 
-def _improvement_prob(inst: Instance, s: int, new_c, old_c, samples, seed):
-    """Pr[new assignment strictly beats old] under the student's true
-    utilities and weights; unmatched counts as worse than any college."""
-    if new_c == old_c:
-        return Fraction(0)
-    if new_c is None:
-        return Fraction(0)
-    if old_c is None:
-        return Fraction(1)
-    return pr_prefers(inst, s, new_c, old_c, strict=True, samples=samples, seed=seed)
-
-
 def _menu(inst: Instance, strategy: Strategy, s: int, samples, seed) -> set[int]:
     """The colleges student s can get by some report, the others' reports
     fixed: c is in it iff she gets c proposing to c first.  Found by the run
-    without s plus one chain per college: s proposes to c in that run's final
-    state and keeps c unless the rejection chain she starts displaces her
-    (McVitie & Wilson 1971; see ``gda._keeps``)."""
+    without s, resumed once per college with s proposing down c and then the
+    other colleges by index (McVitie & Wilson 1971; see ``gda._walk``).  Her
+    slot in ``orders``, a list of this call's own, is replaced; her table's
+    list is never written."""
     strategy = Strategy(strategy)
     orders = _table_orders(inst, strategy, samples, seed)
-    _, held, proposed = _run_orders(inst, strategy, orders, samples, seed, absent=s)
-    return {c for c in range(inst.m) if _keeps(inst, strategy, orders, held, proposed, s, c, samples, seed)}
+    held, proposed = [[] for _ in range(inst.m)], [0] * inst.n
+    _walk(inst, strategy, orders, held, proposed, [t for t in range(inst.n) if t != s], samples, seed)
+    menu = set()
+    for c in range(inst.m):
+        orders[s] = [c, *(d for d in range(inst.m) if d != c)]
+        probe = [list(seats) for seats in held]
+        _walk(inst, strategy, orders, probe, list(proposed), [s], samples, seed)
+        if s in probe[c]:
+            menu.add(c)
+    return menu
 
 
 def improvement_scan(
@@ -393,14 +390,14 @@ def improvement_scan(
 
     The space is every deterministic strict order plus the student's own
     truthful report (a sanity anchor whose outcome is the truthful one).  It
-    is scanned by menus (see the module docstring): per student, one run
-    without her plus one rejection chain per college instead of m! + 1
-    reruns, since with the others' reports fixed her outcome under any
-    report is her favourite college in her menu (Dubins & Freedman 1981;
-    Hammond 1979).  Every utility-table report reaches an outcome that some
-    strict order reaches, so the scan covers that whole space.  Each of the
-    at most m + 1 outcomes has its improvement probability, and its sign,
-    decided once."""
+    is scanned by menus (see the module docstring): per student, the run
+    without her, resumed once per college, instead of m! + 1 reruns, since
+    with the others' reports fixed her outcome under any report is her
+    favourite college in her menu (Dubins & Freedman 1981; Hammond 1979).
+    Every utility-table report reaches an outcome that some strict order
+    reaches, so the scan covers that whole space.  Each of the at most m + 1
+    outcomes has its improvement probability, and its sign, decided once,
+    and a student with no gaining menu college has no order labelled."""
     reports = math.factorial(inst.m) + 1
     if inst.n * reports > budget:
         raise BudgetExceededError(
@@ -411,13 +408,18 @@ def improvement_scan(
     for s in range(inst.n):
         old_c = truthful.college_of(s)
         menu = _menu(inst, strategy, s, samples, seed)
-        gains = {}  # menu college -> its improvement probability, when positive
-        for c in menu:
-            prob = _improvement_prob(inst, s, c, old_c, samples, seed)
+        gains = {}  # menu college -> Pr[it strictly beats old_c], when positive
+        for c in menu - {old_c}:
+            if old_c is None:  # unmatched is worse than any college
+                prob = Fraction(1)
+            else:
+                prob = pr_prefers(inst, s, c, old_c, strict=True, samples=samples, seed=seed)
             if prob > 0:
                 gains[c] = prob
+        if not gains:
+            continue
         for perm in itertools.permutations(range(inst.m)):
-            new_c = next((c for c in perm if c in menu), None)  # None only when the menu is empty: no gain
+            new_c = next(c for c in perm if c in menu)  # gains is not empty, so neither is the menu
             if new_c in gains:
                 improvements.append((s, _order_label(inst, perm), gains[new_c]))
     return inst.n * reports, improvements

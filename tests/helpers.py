@@ -1,7 +1,8 @@
 """Independent oracles shared by the test modules.
 
 Nothing here imports the code paths it is used to check: the reference
-deferred acceptance is a plain sequential textbook loop, the blocker oracle
+deferred acceptance is a plain sequential textbook loop, the round
+reference weighs each round's proposals together, the blocker oracle
 reads college preference lists directly, the stability oracles evaluate
 block events directly at sampled/grid weights, the atom oracles score every
 support atom afresh in Fraction arithmetic, the triangle quadrature
@@ -54,6 +55,35 @@ def reference_da(student_prefs, college_prefs, capacities):
         else:
             match[s] = c
     return tuple(match)
+
+
+def reference_rounds(student_prefs, college_prefs, capacities):
+    """Synchronous-round student-proposing deferred acceptance: each round
+    every free student with colleges left proposes to her next one, and each
+    college keeps the best of its holds plus newcomers up to capacity.
+    Returns the assignment tuple and, per round, the (student, college)
+    proposals in student order and the sorted (college, student)
+    rejections."""
+    n, m = len(student_prefs), len(college_prefs)
+    rank = [{s: r for r, s in enumerate(order)} for order in college_prefs]
+    nxt = [0] * n
+    held = [[] for _ in range(m)]
+    rounds = []
+    while True:
+        match = {s: c for c in range(m) for s in held[c]}
+        free = [s for s in range(n) if s not in match and nxt[s] < len(student_prefs[s])]
+        if not free:
+            return tuple(match.get(s) for s in range(n)), rounds
+        proposals = tuple((s, student_prefs[s][nxt[s]]) for s in free)
+        rejections = []
+        for c in range(m):
+            pool = held[c] + [s for s, d in proposals if d == c]
+            pool.sort(key=lambda t: rank[c][t])
+            held[c] = pool[: capacities[c]]
+            rejections += [(c, t) for t in pool[capacities[c] :]]
+        for s in free:
+            nxt[s] += 1
+        rounds.append((proposals, tuple(sorted(rejections))))
 
 
 def point_mass_instance(base: Instance, rng: np.random.Generator) -> Instance:

@@ -13,7 +13,7 @@ from featmatch.model import ValidationError
 from featmatch.oracle import _menu, improvement_scan, order_misreports
 from featmatch.prob import _facts, pros_exact_2f
 
-from helpers import full_rerun_scan, induced_strict_prefs, point_mass_instance, reference_da
+from helpers import full_rerun_scan, induced_strict_prefs, point_mass_instance, reference_da, reference_rounds
 
 EXPECTED_MATCHINGS = {
     (1, Strategy.LOCV): {"s1": "c3", "s2": "c1", "s3": "c2"},
@@ -225,6 +225,35 @@ def test_proposals_follow_the_next_college_chain(k, dist):
                     for s, c in rnd.proposals:
                         assert c == next_college(fresh, rule, s, set(made[s]), **setting)
                         made[s].append(c)
+
+
+def _rounds(trace):
+    return [(rnd.proposals, rnd.rejections) for rnd in trace.rounds]
+
+
+def test_rounds_match_synchronous_reference():
+    # the walk takes a round's proposals one at a time; the reference weighs
+    # them together, and both must give the same matching and rounds
+    for seed in range(200):
+        n, m = 1 + seed % 5, 1 + seed % 4
+        rng = np.random.default_rng(seed)
+        base = gen_random(n, m, capacities="spread" if seed % 3 else "ones", seed=seed)
+        inst = point_mass_instance(base, rng)
+        matching, rounds = reference_rounds(induced_strict_prefs(inst), inst.college_prefs, inst.capacities)
+        for rule in Strategy:
+            got, trace = run_gda(inst, rule)
+            assert (got.assignment, _rounds(trace)) == (matching, rounds)
+    for dist in ["uniform_simplex", "discrete", ("beta2", 2.0, 5.0)]:
+        for seed, (n, m) in enumerate([(3, 3), (4, 4), (5, 4), (4, 3), (5, 5), (6, 4)] * 2):
+            inst = gen_random(n, m, capacities="spread", dist_kind=dist, seed=seed)
+            for rule, setting in itertools.product(Strategy, MEMO_SETTINGS):
+                got, trace = run_gda(inst, rule, **setting)
+                orders = [_facts(inst, s).orders[(rule, setting["samples"], setting["seed"])] for s in range(n)]
+                for s, order in enumerate(orders):
+                    while len(order) < m:
+                        _extend(inst, rule, s, order, setting["samples"], setting["seed"])
+                matching, rounds = reference_rounds(orders, inst.college_prefs, inst.capacities)
+                assert (got.assignment, _rounds(trace)) == (matching, rounds)
 
 
 @pytest.mark.parametrize("k,dist", MEMO_FAMILIES)

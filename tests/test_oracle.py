@@ -1,5 +1,6 @@
 import itertools
 import time
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -250,15 +251,16 @@ def test_menu_chain_can_return_to_the_probed_college():
         assert improvement_scan(inst, rule) == full_rerun_scan(inst, rule, {})
 
 
-def test_improvement_scan_runs_the_round_loop_once_per_student(monkeypatch):
-    # the truthful run plus one run without each student; the menu probes
-    # walk rejection chains, and only the truthful run records its rounds
-    runs, rounds = [], []
-    run_orders, gda_round = gda._run_orders, gda.GdaRound
+def test_improvement_scan_walks_once_per_student_and_college(monkeypatch):
+    # the truthful run, one run without each student from the empty state,
+    # and per student one resumed walk per college whose first round is hers
+    # alone; only the truthful run records its rounds
+    walks, rounds = Counter(), []
+    walk, gda_round = gda._walk, gda.GdaRound
 
-    def counted_run(*args, **kwargs):
-        runs.append(1)
-        return run_orders(*args, **kwargs)
+    def counted_walk(inst, strategy, orders, held, proposed, proposers, *args, **kwargs):
+        walks[tuple(proposers), not any(held)] += 1
+        return walk(inst, strategy, orders, held, proposed, proposers, *args, **kwargs)
 
     def counted_round(*args, **kwargs):
         rounds.append(1)
@@ -266,16 +268,20 @@ def test_improvement_scan_runs_the_round_loop_once_per_student(monkeypatch):
 
     for seed, (n, m) in enumerate([(4, 4), (3, 4), (5, 3)]):
         inst = gen_random(n, m, capacities="spread" if seed % 2 else "ones", seed=seed)
+        expected = Counter({(tuple(range(n)), True): 1})
+        for s in range(n):
+            expected[tuple(t for t in range(n) if t != s), True] += 1
+            expected[(s,), False] += m
         for rule in Strategy:
             truthful_rounds = len(run_gda(replace(inst), rule)[1].rounds)
             with monkeypatch.context() as patch:
-                patch.setattr(gda, "_run_orders", counted_run)
-                patch.setattr(oracle, "_run_orders", counted_run)
+                patch.setattr(gda, "_walk", counted_walk)
+                patch.setattr(oracle, "_walk", counted_walk)
                 patch.setattr(gda, "GdaRound", counted_round)
-                runs.clear()
+                walks.clear()
                 rounds.clear()
                 improvement_scan(replace(inst), rule)
-            assert len(runs) == 1 + inst.n
+            assert walks == expected
             assert len(rounds) == truthful_rounds
 
 
