@@ -35,7 +35,9 @@ from .model import (
 from .oracle import (
     DEFAULT_BUDGET, DEFAULT_SEED, BudgetExceededError, ExperimentConfig, audit_ic, optimal_pros, run_experiment
 )
-from .prob import DEFAULT_SAMPLES, potential_blockers, pros_exact, pros_monte_carlo, stability_interval
+from .prob import (
+    DEFAULT_SAMPLES, _exact_evaluator, potential_blockers, pros_exact, pros_monte_carlo, stability_interval
+)
 from .svg import render_box_plot
 
 
@@ -57,12 +59,11 @@ def _emit(args, text: str) -> None:
 
 
 def _evaluate_pros(inst, matching, samples: int, seed: int, force_mc: bool = False) -> ProsResult:
-    if not force_mc:
-        try:
-            return pros_exact(inst, matching)
-        except ModelError:
-            pass
-    return pros_monte_carlo(inst, matching, samples=samples, seed=seed)
+    """Exact when the instance has an exact evaluator and ``force_mc`` is off,
+    else a Monte Carlo estimate."""
+    if force_mc or _exact_evaluator(inst) is None:
+        return pros_monte_carlo(inst, matching, samples=samples, seed=seed)
+    return pros_exact(inst, matching)
 
 
 def _pros_json(res: ProsResult) -> dict:
@@ -240,24 +241,11 @@ def _cmd_audit_ic(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-CSV_FIELDS = [
-    "trial",
-    "seed",
-    "n",
-    "m",
-    "strategy",
-    "algorithm_pros",
-    "optimal_pros",
-    "ratio",
-    "algorithm_pros_exact",
-    "optimal_pros_exact",
-    "ratio_exact",
-]
-
-
 def experiment_csv(rows: list[dict]) -> str:
+    """The rows as CSV, its columns the keys of ``run_experiment``'s rows in
+    their order.  The CLI never writes an empty table."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_FIELDS, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
     return buf.getvalue()

@@ -17,8 +17,9 @@ proposal order per (student, rule), and a run is textbook deferred
 acceptance (Gale & Shapley 1962) over those orders.  Each student's order is
 a list in her pairwise-facts table (``prob._facts``) under (rule, samples,
 seed): one ranking for HEUF and LOCV, one step at a time as far as a run
-walks it for LOICV and HERF.  ``Instance.with_report`` keeps the other
-students' tables, orders included.
+walks it for LOICV and HERF.  An order depends only on the student's own
+utilities and weights, so a report by one student leaves every other
+student's order as it is.
 
 One round walk (``_walk``) runs deferred acceptance from any state (the seat
 holders and how far each student has walked her order) and any set of
@@ -41,13 +42,24 @@ from typing import Union
 from .model import Instance, Matching, ValidationError
 from .prob import DEFAULT_SAMPLES, _facts, expected_utility, pr_prefers, pr_top
 
-__all__ = ["Strategy", "ComparisonVector", "GdaRound", "GdaTrace", "comparison_vector", "next_college", "run_gda"]
+__all__ = ["Strategy", "GdaRound", "GdaTrace", "comparison_vector", "next_college", "run_gda"]
 
 
 class Strategy(str, Enum):
     """Proposing rules: highest expected utility (HEUF), fixed lexicographic
     comparison-vector order (LOCV), the iterated variant over non-rejecting
-    colleges (LOICV), and highest probability of ranking first (HERF)."""
+    colleges (LOICV), and highest probability of ranking first (HERF).
+
+    HERF keeps a stability probability of at least (1/m)^n, by pigeonhole.
+    Let R_s be the colleges that have not rejected student s when she makes
+    her last proposal, to c_s.  HERF proposes to the college of R_s most
+    likely to weakly top R_s; these probabilities sum to at least 1 over
+    R_s, so Pr[c_s weakly tops R_s] >= 1/|R_s|.  At the end each college
+    that rejected her is full with students it prefers, so her potential
+    blockers lie in R_s minus c_s, and her stability factor is at least
+    that probability.  An unmatched student has been rejected everywhere
+    and has no blockers.  The students' weights are independent, so the
+    stability probability is at least the product of the 1/|R_s|."""
 
     HEUF = "heuf"
     LOCV = "locv"
@@ -58,10 +70,8 @@ class Strategy(str, Enum):
 # rules that score against the colleges not yet rejected rather than all of them
 _ITERATED = (Strategy.LOICV, Strategy.HERF)
 
-ComparisonVector = tuple
 
-
-def comparison_vector(inst: Instance, s: int, c: int, pool, samples: int = DEFAULT_SAMPLES, seed=None) -> ComparisonVector:
+def comparison_vector(inst: Instance, s: int, c: int, pool, samples: int = DEFAULT_SAMPLES, seed=None) -> tuple:
     """Weak win probabilities of c against every other pool member, ascending."""
     pool = sorted(set(pool))
     if c not in pool:

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from typing import ClassVar, Mapping, Union
@@ -64,12 +65,20 @@ class ValidationError(ModelError):
 # ---------------------------------------------------------------------------
 
 
+_MAX_RATIONAL_CHARS = 1000  # characters in a rational string
+_MAX_EXPONENT = 1000  # magnitude of a decimal string's exponent
+
+
 def parse_rational(value) -> Fraction:
     """Parse ``"p/q"`` strings, decimal literals and numbers to an exact Fraction.
 
     Decimal strings like ``"0.3"`` become 3/10 exactly.  Bare floats are
     converted through their shortest decimal repr so JSON ``0.3`` also maps
-    to 3/10 rather than the binary expansion of the float.
+    to 3/10 rather than the binary expansion of the float.  A string is
+    bounded before any number is built: at most ``_MAX_RATIONAL_CHARS``
+    characters, and an exponent (``"1e-5"``) of at most ``_MAX_EXPONENT``
+    in magnitude, since building ``10**exponent`` takes time that grows
+    faster than the exponent.
     """
     if isinstance(value, Fraction):
         return value
@@ -82,19 +91,37 @@ def parse_rational(value) -> Fraction:
             raise ParseError(f"malformed document: non-finite number {value!r}")
         return Fraction(repr(value))
     if isinstance(value, str):
+        if len(value) > _MAX_RATIONAL_CHARS:
+            raise ParseError(f"malformed document: a rational has more than {_MAX_RATIONAL_CHARS} characters")
         num, slash, den = value.partition("/")
         digits = value.isascii() and num.isdigit() and (den.isdigit() or not slash)  # skip the regex
         try:
-            return Fraction(int(num), int(den or 1)) if digits else Fraction(value)
+            if digits:
+                return Fraction(int(num), int(den or 1))
+            _, e, exponent = value.lower().partition("e")
+            if not e or abs(int(exponent)) <= _MAX_EXPONENT:
+                return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"malformed document: bad rational {value!r}") from exc
+        raise ParseError(f"malformed document: the exponent of {value!r} exceeds {_MAX_EXPONENT} in magnitude")
     raise ParseError(f"malformed document: expected a rational, got {type(value).__name__}")
 
 
 def format_rational(q: Fraction) -> str:
-    """Render a Fraction as ``"p/q"`` (or ``"p"`` when integral)."""
+    """Render a Fraction as ``"p/q"`` (or ``"p"`` when integral), every digit
+    written however many there are."""
     q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    num = _decimal_digits(q.numerator)
+    return num if q.denominator == 1 else f"{num}/{_decimal_digits(q.denominator)}"
+
+
+def _decimal_digits(n: int) -> str:
+    """``str(n)``, also past ``sys.get_int_max_str_digits()`` digits:
+    ``Decimal`` has no such limit, and the process-wide limit stays as it is."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
 
 
 # Exact integer kernels.  Rational rows times one common denominator are
@@ -369,24 +396,20 @@ class Instance:
         if len(self.utilities) != n or len(self.weight_dists) != n:
             raise ValidationError("utilities/weight_dists must cover every student")
         for s, per_feature in enumerate(self.utilities):
-            self._check_utilities(s, per_feature)
+            if len(per_feature) != k or any(len(row) != m for row in per_feature):
+                raise ValidationError("utility table shape must be students x features x colleges")
+            for row in per_feature:
+                for u in row:
+                    if not (0 <= u <= 1):
+                        raise ValidationError(
+                            f"utility outside [0,1]: student {self.students[s]} has {format_rational(u)}"
+                        )
         for s, dist in enumerate(self.weight_dists):
             if dist.dim != k:
                 raise ValidationError(
                     f"distribution dimension mismatch: student {self.students[s]} has dim "
                     f"{dist.dim}, instance has {k} features"
                 )
-
-    def _check_utilities(self, s: int, per_feature) -> None:
-        """Student s's utility table has shape features x colleges, values in [0, 1]."""
-        if len(per_feature) != self.num_features or any(len(row) != self.m for row in per_feature):
-            raise ValidationError("utility table shape must be students x features x colleges")
-        for row in per_feature:
-            for u in row:
-                if not (0 <= u <= 1):
-                    raise ValidationError(
-                        f"utility outside [0,1]: student {self.students[s]} has {format_rational(u)}"
-                    )
 
     @property
     def n(self) -> int:
@@ -423,24 +446,6 @@ class Instance:
     def pair_facts(self) -> list:
         """Per-student slots for ``prob``'s pairwise-fact tables; None until built."""
         return [None] * self.n
-
-    def with_report(self, s: int, rows) -> "Instance":
-        """This instance with student s's utility table replaced by ``rows``
-        (one row per feature).  Only the new rows are checked; the rest of
-        the instance is already valid.  ``college_rank`` and every other
-        student's pairwise facts carry over: the facts depend only on her
-        own utilities and weights."""
-        rows = tuple(tuple(row) for row in rows)
-        self._check_utilities(s, rows)
-        out = object.__new__(Instance)
-        vars(out).update(
-            {f.name: getattr(self, f.name) for f in fields(self)},
-            utilities=self.utilities[:s] + (rows,) + self.utilities[s + 1 :],
-            college_rank=self.college_rank,
-            pair_facts=list(self.pair_facts),
-        )
-        out.pair_facts[s] = None
-        return out
 
     def student_index(self, sid: str) -> int:
         try:
@@ -728,7 +733,9 @@ def parse_instance(text: str) -> Instance:
     """Parse the JSON instance format; raises ParseError/ValidationError."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except RecursionError:
+        raise ParseError("malformed document: nested too deeply") from None
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the int-to-str digit limit
         raise ParseError(f"malformed document: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("malformed document: top level must be an object")

@@ -24,14 +24,14 @@ the rest by index, and c is in the menu iff she ends up holding c
 (``gda._walk``).  No report table is built.  Each of the m! orders then gets
 its first college in the menu, or nothing.
 
-The scan also covers every utility-table report (``Instance.with_report``),
-ties included.  Under any such report the student proposes down one full
-order that the report alone fixes (the prefix property in ``gda``), so her
-outcome is the first college of that order in her menu, and the strict order
-that ranks that college first reaches it too.  An improvement probability
-depends only on the outcome, so no utility-table report finds a violation
-that the strict orders miss.  Misreported weight distributions are not in
-the space.
+The scan also covers every utility-table report, one that replaces the
+student's utility table, ties included.  Under any such report the student
+proposes down one full order that the report alone fixes (the prefix
+property in ``gda``), so her outcome is the first college of that order in
+her menu, and the strict order that ranks that college first reaches it
+too.  An improvement probability depends only on the outcome, so no
+utility-table report finds a violation that the strict orders miss.
+Misreported weight distributions are not in the space.
 
 The optimum is found by depth-first branch and bound (Land & Doig 1960).
 Students are placed in index order and each tries the options of
@@ -76,8 +76,8 @@ import numpy as np
 
 from .gda import Strategy, _table_orders, _walk, run_gda
 from .instances import gen_random
-from .model import DiscreteWeights, Instance, Matching, ProsResult, ValidationError, format_rational
-from .prob import DEFAULT_SAMPLES, _factor, _product_result, pr_prefers, pros_exact
+from .model import Instance, Matching, ProsResult, ValidationError, format_rational
+from .prob import DEFAULT_SAMPLES, _factor, _product_result, _require_exact, pr_prefers, pros_exact
 
 __all__ = [
     "BudgetExceededError",
@@ -90,7 +90,6 @@ __all__ = [
     "approx_ratio",
     "ExperimentConfig",
     "run_experiment",
-    "order_misreports",
     "audit_ic",
     "check_transitivity",
 ]
@@ -176,8 +175,7 @@ def optimal_pros(inst: Instance, budget: int = DEFAULT_BUDGET) -> OptResult:
     module docstring); exact, and ties keep the first matching in
     enumeration order."""
     _check_budget(inst, budget)
-    if inst.num_features != 2 and not all(isinstance(d, DiscreteWeights) for d in inst.weight_dists):
-        raise ValidationError("no exact stability evaluator for this instance")
+    _require_exact(inst)
     n, m, caps = inst.n, inst.m, inst.capacities
     ranks = [[inst.college_rank[c][t] for c in range(m)] for t in range(n)]  # ranks[t][c]
     exact = all(dist.exact for dist in inst.weight_dists)
@@ -336,24 +334,8 @@ class IcAuditReport:
         return not self.violations
 
 
-def _order_rows(inst: Instance, perm) -> tuple:
-    """The deterministic strict order ``perm`` (best first) as a utility
-    table with identical columns across features valued (m - rank)/m."""
-    row = [Fraction(0)] * inst.m
-    for rank, c in enumerate(perm):
-        row[c] = Fraction(inst.m - rank, inst.m)
-    return (tuple(row),) * inst.num_features
-
-
 def _order_label(inst: Instance, perm) -> str:
     return ">".join(inst.colleges[c] for c in perm)
-
-
-def order_misreports(inst: Instance) -> Iterator[tuple[str, tuple]]:
-    """All m! deterministic strict orders over colleges, as utility tables
-    with identical columns across features valued (m - rank)/m, best first."""
-    for perm in itertools.permutations(range(inst.m)):
-        yield _order_label(inst, perm), _order_rows(inst, perm)
 
 
 def _menu(inst: Instance, strategy: Strategy, s: int, samples, seed) -> set[int]:

@@ -19,8 +19,8 @@ Fractions are built only where a window or cutoff is measured
 A student's pairwise facts depend only on her own utilities and weights, so
 they are built once into a per-student table on ``Instance.pair_facts`` (see
 ``_facts``), which also holds her proposal order under each rule (see
-``gda``).  ``Instance.with_report`` keeps the other students' tables; the
-audit's menu probes build no report at all (see ``oracle``).
+``gda``).  The audit's menu probes build no report at all (see ``oracle``),
+so every table belongs to a student's true utilities.
 
 Discrete weights are evaluated on integers.  A distribution's ``kernel``
 holds its support as ``W / dw`` and its probabilities as ``P / dp``, and a
@@ -517,13 +517,29 @@ def pros_exact_discrete(inst: Instance, matching: Matching) -> ProsResult:
     return _product_result(factors)
 
 
+def _exact_evaluator(inst: Instance):
+    """The exact stability evaluator for this instance (every student
+    discrete, or two features), or None: the one test of whether an exact
+    path exists, read by ``pros_exact``, ``oracle.optimal_pros`` and the CLI.
+    It returns the module global, so a wrapper bound there is the one called."""
+    if all(isinstance(d, DiscreteWeights) for d in inst.weight_dists):
+        return pros_exact_discrete
+    if inst.num_features == 2:
+        return pros_exact_2f
+    return None
+
+
+def _require_exact(inst: Instance):
+    """``_exact_evaluator(inst)``, raising ValidationError when it is None."""
+    evaluator = _exact_evaluator(inst)
+    if evaluator is None:
+        raise ValidationError("no exact stability evaluator for this instance")
+    return evaluator
+
+
 def pros_exact(inst: Instance, matching: Matching) -> ProsResult:
     """Dispatch to whichever exact evaluator applies, or raise."""
-    if all(isinstance(d, DiscreteWeights) for d in inst.weight_dists):
-        return pros_exact_discrete(inst, matching)
-    if inst.num_features == 2:
-        return pros_exact_2f(inst, matching)
-    raise ValidationError("no exact stability evaluator for this instance")
+    return _require_exact(inst)(inst, matching)
 
 
 def pros_monte_carlo(inst: Instance, matching: Matching, samples: int, seed: int) -> ProsResult:

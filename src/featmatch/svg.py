@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["BoxStats", "box_stats", "render_box_plot"]
+__all__ = ["BoxStats", "render_box_plot"]
 
 WIDTH, HEIGHT = 800, 500
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 70
@@ -30,10 +30,6 @@ class BoxStats:
         self.outliers = [v for v in values if v < lo_fence or v > hi_fence]
 
 
-def box_stats(values) -> BoxStats:
-    return BoxStats(values)
-
-
 def _fmt(x: float) -> str:
     return f"{x:.4f}"
 
@@ -42,12 +38,12 @@ def render_box_plot(
     groups: list[tuple[str, list[float]]],
     title: str = "",
     y_label: str = "",
-    y_range: tuple[float, float] = (0.0, 1.0),
 ) -> str:
-    """Render one box per (label, values) group into a standalone SVG."""
+    """Render one box per (label, values) group into a standalone SVG, on a
+    y axis from 0 to 1."""
     if not groups:
         raise ValueError("nothing to plot")
-    y_lo, y_hi = y_range
+    y_lo, y_hi = 0.0, 1.0
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
 

@@ -8,14 +8,18 @@ block events directly at sampled/grid weights, the atom oracles score every
 support atom afresh in Fraction arithmetic, the triangle quadrature
 integrates the three-feature preference regions numerically, the
 full-rerun scan reruns GDA under every misreport on a freshly built
-instance, the one-shot Monte Carlo estimate draws every sample at once
-by the plain formulas, and the Fraction case split computes the
-two-feature cutoffs from the utilities as Fractions.  The malformed-document list is shared by the parser
-and CLI exit-code tests.
+instance (``with_report``, ``order_misreports``), the one-shot Monte Carlo
+estimate draws every sample at once by the plain formulas, and the Fraction
+case split computes the two-feature cutoffs from the utilities as
+Fractions.  ``unrejected_at_last_proposal`` reads HERF's certificate sets
+off a run's trace, and ``expected_rank_orders`` is the expected-rank
+reading of HERF that the certificate rules out.  The malformed-document
+list is shared by the parser and CLI exit-code tests.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import replace
 from fractions import Fraction as F
@@ -24,7 +28,7 @@ import numpy as np
 
 from featmatch.gda import run_gda
 from featmatch.model import BetaWeights, DiscreteWeights, Instance, ParseError, ValidationError
-from featmatch.oracle import enumerate_matchings, order_misreports
+from featmatch.oracle import enumerate_matchings
 from featmatch.prob import ALWAYS, NEVER, THRESHOLD_ABOVE, THRESHOLD_BELOW, pr_prefers, pros_exact
 
 
@@ -131,29 +135,66 @@ def textbook_blockers(inst: Instance, matching, s: int) -> list[int]:
     return out
 
 
+def with_report(inst: Instance, s: int, rows) -> Instance:
+    """The instance with student s's utility table replaced by ``rows`` (one
+    row per feature), built and validated afresh, so no table is shared."""
+    rows = tuple(tuple(row) for row in rows)
+    return replace(inst, utilities=inst.utilities[:s] + (rows,) + inst.utilities[s + 1 :])
+
+
+def order_misreports(inst: Instance):
+    """All m! deterministic strict orders over colleges, best first, each as
+    (label "c1>c2>...", utility table): identical rows across features, the
+    college of rank r (0 = best) valued (m - r)/m."""
+    for perm in itertools.permutations(range(inst.m)):
+        row = [F(0)] * inst.m
+        for rank, c in enumerate(perm):
+            row[c] = F(inst.m - rank, inst.m)
+        yield ">".join(inst.colleges[c] for c in perm), (tuple(row),) * inst.num_features
+
+
 def full_rerun_scan(inst: Instance, rule, setting) -> tuple:
     """improvement_scan's default space without menus: GDA rerun under each
     strict order and the truthful anchor of each student, on a freshly built
     instance for every run and every probability, so no table is shared."""
-
-    def fresh(s=None, rows=None):
-        if s is None:
-            return replace(inst)
-        return replace(inst, utilities=inst.utilities[:s] + (rows,) + inst.utilities[s + 1 :])
-
-    truthful, _ = run_gda(fresh(), rule, **setting)
+    truthful, _ = run_gda(replace(inst), rule, **setting)
     tried, improvements = 0, []
     for s in range(inst.n):
         old_c = truthful.college_of(s)
         for label, rows in [*order_misreports(inst), ("truthful", inst.utilities[s])]:
             tried += 1
-            new_c = run_gda(fresh(s, rows), rule, **setting)[0].college_of(s)
+            new_c = run_gda(with_report(inst, s, rows), rule, **setting)[0].college_of(s)
             if new_c is None or new_c == old_c:
                 continue
-            prob = 1 if old_c is None else pr_prefers(fresh(), s, new_c, old_c, **setting)
+            prob = 1 if old_c is None else pr_prefers(replace(inst), s, new_c, old_c, **setting)
             if prob > 0:
                 improvements.append((s, label, prob))
     return tried, improvements
+
+
+def unrejected_at_last_proposal(inst: Instance, trace, s: int) -> set:
+    """R_s: the colleges that had not rejected student s when she made her
+    last proposal, read off a run's trace."""
+    last = max(t for t, rnd in enumerate(trace.rounds) if any(p == s for p, _ in rnd.proposals))
+    rejected = {c for rnd in trace.rounds[:last] for c, t in rnd.rejections if t == s}
+    return set(range(inst.m)) - rejected
+
+
+def expected_rank_orders(inst: Instance) -> list:
+    """Each student's proposal order under the expected-rank reading of
+    HERF: among the colleges she has not yet proposed to, the one of lowest
+    expected rank position 1 + sum_d Pr[d strictly beats c] over the others
+    d, ties to the lowest index.  Colleges she has proposed to have rejected
+    her, so the order fixes her proposals in every run."""
+    orders = []
+    for s in range(inst.n):
+        left, order = list(range(inst.m)), []
+        while left:
+            rank = {c: 1 + sum(pr_prefers(inst, s, d, c) for d in left if d != c) for c in left}
+            order.append(min(left, key=lambda c: (rank[c], c)))
+            left.remove(order[-1])
+        orders.append(order)
+    return orders
 
 
 def fraction_case(u1i: F, u2i: F, u1j: F, u2j: F) -> tuple:

@@ -1,14 +1,17 @@
 import json
 import os
+import random
 import re
+import sys
 import tempfile
+import time
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from featmatch import gen_random, goldens, parse_instance, serialize_instance
+from featmatch import Strategy, gen_random, goldens, parse_instance, pros_exact, run_gda, serialize_instance
 from featmatch.cli import ExperimentConfig, experiment_csv, experiment_svg, main, run_experiment
 from featmatch.model import Instance, ModelError
 from featmatch.svg import BoxStats
@@ -77,6 +80,19 @@ def test_pros_rejects_infeasible(ex1_path, tmp_path, capsys):
         capsys.readouterr()
         assert main(["pros", ex1_path, "--matching", str(mpath), *extra]) == 2
         assert "error: infeasible matching: " in capsys.readouterr().err
+
+
+def test_pros_takes_the_exact_path_whatever_the_sample_count(ex1_path, tmp_path, capsys):
+    # the exact path is chosen by the instance alone: its errors are reported
+    # as they are, and the estimator's sample count is never read
+    bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+    bad.write_text(json.dumps({"s1": "c1", "s2": "c1", "s3": "c2"}))
+    good.write_text(json.dumps({"s1": "c3", "s2": "c1", "s3": "c2"}))
+    capsys.readouterr()
+    assert main(["pros", ex1_path, "--matching", str(bad), "--samples", "0"]) == 2
+    assert capsys.readouterr().err == "error: infeasible matching: college c1 over capacity: 2 > 1\n"
+    assert main(["pros", ex1_path, "--matching", str(good), "--samples", "0"]) == 0
+    assert capsys.readouterr().out == "pros: 2/11\n"
 
 
 def test_optimal_command(ex1_path, capsys):
@@ -259,7 +275,10 @@ def _paths(node, prefix=()):
         yield from _paths(child, prefix + (key,))
 
 
+HOSTILE_NUMBERS = ["1e-5000", "0e1000000", "0e10000000"]  # a huge denominator, huge exponents
+
 JSON_VALUES = st.one_of(
+    st.sampled_from(HOSTILE_NUMBERS),
     st.none(),
     st.booleans(),
     st.text(max_size=6),
@@ -291,4 +310,67 @@ def test_single_path_edits_parse_or_raise_model_error(data, which, delete):
         target = os.path.join(tmp, "edited.json")
         with open(target, "w") as fh:
             fh.write(text)
+        start = time.perf_counter()
         assert main(["solve", target, "--strategy", "heuf"]) in (0, 2, 3)
+        assert time.perf_counter() - start < 5
+
+
+def test_hostile_documents_exit_2_promptly(tmp_path, capsys):
+    doc = json.loads(serialize_instance(gen_random(3, 3, seed=4)))
+    matching = tmp_path / "matching.json"
+    matching.write_text(json.dumps({"s1": "c1", "s2": "c2", "s3": "c3"}))
+    texts = {"1,000 nested lists": "[" * 1000 + "]" * 1000}
+    for number in HOSTILE_NUMBERS:
+        doc["utilities"]["s1"]["f1"]["c1"] = number
+        texts[f"utility {number}"] = json.dumps(doc)
+    doc["utilities"]["s1"]["f1"]["c1"] = "1/2"
+    texts["a 5,000-digit capacity"] = json.dumps(doc).replace('"c1": 1', '"c1": ' + "1" * 5000, 1)
+    path = str(tmp_path / "hostile.json")
+    verbs = [
+        ["solve", path, "--strategy", "herf"],
+        ["pros", path, "--matching", str(matching)],
+        ["optimal", path],
+        ["audit-ic", path, "--strategy", "heuf"],
+    ]
+    for label, text in texts.items():
+        with open(path, "w") as fh:
+            fh.write(text)
+        for argv in verbs:
+            capsys.readouterr()
+            start = time.perf_counter()
+            assert main(argv) == 2, (label, argv)
+            assert time.perf_counter() - start < 2, (label, argv)
+            assert capsys.readouterr().err.startswith("error: malformed document: "), (label, argv)
+
+
+def test_exact_values_past_the_int_to_str_limit_are_written_whole(tmp_path, capsys):
+    # utilities with 491-digit denominators give a HERF ProS of more digits
+    # than Python turns into a str by default
+    rng = random.Random(1)
+    doc = json.loads(serialize_instance(gen_random(4, 4, seed=1)))
+    for per_feature in doc["utilities"].values():
+        for row in per_feature.values():
+            for college in row:
+                q = rng.randrange(10**490, 10**491)
+                row[college] = f"{rng.randrange(q)}/{q}"
+    path = tmp_path / "digits.json"
+    path.write_text(json.dumps(doc))
+    inst = parse_instance(path.read_text())
+    want = pros_exact(inst, run_gda(inst, Strategy.HERF)[0]).value
+    capsys.readouterr()
+    assert main(["solve", str(path), "--strategy", "herf", "--format", "json"]) == 0
+    num, den = json.loads(capsys.readouterr().out)["pros"]["value_exact"].split("/")
+    assert len(den) > sys.get_int_max_str_digits()
+    assert F(_int_of_digits(num), _int_of_digits(den)) == want
+    assert main(["optimal", str(path)]) == 0
+    assert "best pros: " in capsys.readouterr().out
+
+
+def _int_of_digits(text: str) -> int:
+    """A decimal digit string of any length as an int, in chunks short
+    enough for int()."""
+    value = 0
+    for start in range(0, len(text), 1000):
+        chunk = text[start : start + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value

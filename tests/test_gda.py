@@ -9,11 +9,21 @@ from hypothesis import strategies as st
 
 from featmatch.gda import Strategy, _extend, comparison_vector, next_college, run_gda
 from featmatch.instances import gen_random, worked_example
-from featmatch.model import ValidationError
-from featmatch.oracle import _menu, improvement_scan, order_misreports
-from featmatch.prob import _facts, pros_exact_2f
+from featmatch.model import DiscreteWeights, Instance, Matching, UniformSimplex, ValidationError
+from featmatch.oracle import _menu, approx_ratio, improvement_scan, optimal_pros
+from featmatch.prob import _facts, _factor, potential_blockers, pr_top, pros_exact, pros_exact_2f
 
-from helpers import full_rerun_scan, induced_strict_prefs, point_mass_instance, reference_da, reference_rounds
+from helpers import (
+    expected_rank_orders,
+    full_rerun_scan,
+    induced_strict_prefs,
+    order_misreports,
+    point_mass_instance,
+    reference_da,
+    reference_rounds,
+    unrejected_at_last_proposal,
+    with_report,
+)
 
 EXPECTED_MATCHINGS = {
     (1, Strategy.LOCV): {"s1": "c3", "s2": "c1", "s3": "c2"},
@@ -275,7 +285,7 @@ def test_deterministic_report_orders_are_their_permutations(k, dist):
             s = perm[0] % inst.n
             for rule in Strategy:
                 for setting in MEMO_SETTINGS:
-                    altered = inst.with_report(s, rows)
+                    altered = with_report(inst, s, rows)
                     run_gda(altered, rule, **setting)
                     order = _facts(altered, s).orders[(rule, setting["samples"], setting["seed"])]
                     assert order == list(perm[: len(order)])
@@ -312,9 +322,72 @@ def test_utility_reports_reach_their_first_menu_college():
                     menu = _menu(inst, rule, s, **setting)
                     for _ in range(2):
                         rows = [[quarters[i] for i in rng.integers(0, 5, inst.m)] for _ in range(k)]
-                        altered = inst.with_report(s, rows)
+                        altered = with_report(inst, s, rows)
                         outcome = run_gda(altered, rule, **setting)[0].college_of(s)
                         order = _facts(altered, s).orders[(rule, setting["samples"], setting["seed"])]
                         while len(order) < inst.m:
                             _extend(altered, rule, s, order, setting["samples"], setting["seed"])
                         assert outcome == next((c for c in order if c in menu), None)
+
+
+HERF_FAMILIES = ["uniform_simplex", "discrete", ("beta2", 2.0, 5.0)]
+
+
+def test_herf_runs_certify_the_product_bound():
+    # each step of HERF's argument (gda.Strategy) holds on each run: with R_s
+    # the colleges that had not rejected s at her last proposal, her blockers
+    # lie in R_s minus her college c_s, Pr[c_s weakly tops R_s] >= 1/|R_s|,
+    # her factor is at least that, and ProS >= prod_s 1/|R_s|
+    for dist, size, caps, seed in itertools.product(HERF_FAMILIES, (3, 4, 5), ("ones", "spread"), range(20)):
+        inst = gen_random(size, size, capacities=caps, dist_kind=dist, seed=20_000 + seed)
+        matching, trace = run_gda(inst, Strategy.HERF)
+        bound = F(1)
+        for s in range(inst.n):
+            c, blockers = matching.college_of(s), potential_blockers(inst, matching, s)
+            if c is None:
+                assert blockers == []
+                continue
+            left = unrejected_at_last_proposal(inst, trace, s)
+            assert set(blockers) <= left - {c}
+            top = pr_top(inst, s, c, left)
+            assert top >= F(1, len(left))
+            assert _factor(inst, s, c, tuple(blockers)) >= top
+            bound *= F(1, len(left))
+        assert pros_exact(inst, matching).value >= bound
+
+
+def _expected_rank_witness() -> Instance:
+    """3x3, unit capacities, every college ranking s1 > s2 > s3, utilities
+    (f1, f2) per college A, B, C.  s1 is uniform with A = (1, 0),
+    B = (101/200, 101/200) and C = (0, 1); s2 and s3 put all weight on f1,
+    with A = 1, B = 0, C = 1/2 and A = 1/2, B = 0, C = 1.  Under the
+    expected-rank reading s1 proposes to B, which tops her order with
+    probability 1/100."""
+    half, b = F(1, 2), F(101, 200)
+    on_f1 = DiscreteWeights((((F(1), F(0)), F(1)),))
+    return Instance(
+        students=("s1", "s2", "s3"),
+        colleges=("A", "B", "C"),
+        capacities=(1, 1, 1),
+        college_prefs=((0, 1, 2),) * 3,
+        features=("f1", "f2"),
+        utilities=(
+            ((F(1), b, F(0)), (F(0), b, F(1))),
+            ((F(1), F(0), half), (F(1), F(0), half)),
+            ((half, F(0), F(1)), (half, F(0), F(1))),
+        ),
+        weight_dists=(UniformSimplex(2), on_f1, on_f1),
+    )
+
+
+def test_expected_rank_reading_breaks_the_bound():
+    # ranking by expected rank position instead of the top-rank probability
+    # gives a ratio of 2/99 < (1/3)^3 on a 3x3 witness; HERF is optimal there
+    inst = _expected_rank_witness()
+    optimum = optimal_pros(inst).best_pros.value
+    assert optimum == F(99, 200)
+    assert approx_ratio(inst, Strategy.HERF) == 1
+    orders = expected_rank_orders(inst)
+    assert orders[0][0] == 1  # s1 proposes to B first
+    matching = Matching(reference_da(orders, inst.college_prefs, inst.capacities))
+    assert pros_exact(inst, matching).value / optimum == F(2, 99) < F(1, 27)

@@ -2,7 +2,8 @@ import json
 import os
 import subprocess
 import sys
-from fractions import Fraction as F
+import time
+from fractions import _RATIONAL_FORMAT, Fraction as F
 
 import pytest
 from hypothesis import given, settings
@@ -70,11 +71,38 @@ def test_parse_rational_forms():
     assert format_rational(F(3)) == "3"
 
 
+def test_rational_strings_are_bounded_before_a_number_is_built():
+    assert parse_rational("1e-1000") == F(1, 10**1000)
+    assert parse_rational("1/" + "3" * 998) == F(1, int("3" * 998))  # 1,000 characters
+    for text in ("1e-1001", "0e1000000", "0e10000000", "0e100000000", "1E+1001"):
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="exponent"):
+            parse_rational(text)
+        assert time.perf_counter() - start < 0.1, text
+    for text in ("1/" + "3" * 999, "0." + "1" * 999):
+        with pytest.raises(ParseError, match="more than 1000 characters"):
+            parse_rational(text)
+
+
+def test_format_rational_writes_every_digit():
+    limit = sys.get_int_max_str_digits()
+    assert format_rational(F(1, 10**5000)) == "1/1" + "0" * 5000
+    assert format_rational(F(-(10**5000))) == "-1" + "0" * 5000
+    assert sys.get_int_max_str_digits() == limit  # the process-wide limit is left alone
+
+
 @settings(max_examples=300)
 @given(st.text(alphabet="0123456789/.-+ _e\u0663", max_size=8))
 def test_parse_rational_agrees_with_fraction(text):
-    # the ASCII "p" and "p/q" fast path gives Fraction(str)'s value, and every
-    # string Fraction rejects (zero denominators included) is a ParseError
+    # the ASCII "p" and "p/q" fast path gives Fraction(str)'s value, every
+    # string Fraction rejects (zero denominators included) is a ParseError,
+    # and so is an exponent beyond 1000 in magnitude (read by Fraction's own
+    # grammar), before 10**exponent is built
+    match = _RATIONAL_FORMAT.match(text)
+    if match and match.group("exp") and abs(int(match.group("exp"))) > 1000:
+        with pytest.raises(ParseError, match="exponent"):
+            parse_rational(text)
+        return
     try:
         want = F(text)
     except (ValueError, ZeroDivisionError):

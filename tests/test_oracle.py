@@ -29,11 +29,10 @@ from featmatch.oracle import (
     enumerate_matchings,
     improvement_scan,
     optimal_pros,
-    order_misreports,
 )
 from featmatch.prob import DEFAULT_SAMPLES, pros_exact_2f
 
-from helpers import flat_optimum, full_rerun_scan, matchings_count_closed_form
+from helpers import flat_optimum, full_rerun_scan, matchings_count_closed_form, order_misreports
 
 
 def test_enumeration_counts():

@@ -42,6 +42,7 @@ from helpers import (
     one_shot_weights,
     textbook_blockers,
     triangle_quadrature_strict,
+    with_report,
 )
 
 
@@ -242,52 +243,6 @@ def test_discrete_pairwise_and_top_match_atom_oracle(seed, features):
             for pool in itertools.combinations(range(inst.m), size):
                 for c in pool:
                     assert pr_top(inst, s, c, pool) == atom_top(inst, s, c, pool)
-
-
-def test_with_report_checks_only_the_new_rows():
-    inst = gen_random(3, 3, seed=12)
-    rows = inst.utilities[1]
-    altered = inst.with_report(0, rows)
-    assert altered.college_rank is inst.college_rank
-    assert altered.utilities_f64[0].tolist() == inst.utilities_f64[1].tolist()
-    too_high = (F(3, 2),) + rows[1][1:]
-    for bad in ([rows[0]], [rows[0], rows[1][:2]], [rows[0], too_high]):
-        with pytest.raises(ValidationError):
-            inst.with_report(0, bad)
-
-
-@pytest.mark.parametrize("kind", ["uniform_simplex", "discrete", ("beta2", 2.0, 5.0)])
-def test_with_report_matches_fresh_instance(kind):
-    inst = gen_random(3, 3, dist_kind=kind, seed=11)
-    for s in range(inst.n):
-        pr_top(inst, s, 0, range(inst.m))  # build every student's table
-    before = list(inst.pair_facts)
-    assert all(before)
-    for s in range(inst.n):
-        rows = inst.utilities[(s + 1) % inst.n]  # another student's utilities as s's report
-        altered = inst.with_report(s, rows)
-        utilities = list(inst.utilities)
-        utilities[s] = rows
-        fresh = Instance(
-            students=inst.students,
-            colleges=inst.colleges,
-            capacities=inst.capacities,
-            college_prefs=inst.college_prefs,
-            features=inst.features,
-            utilities=tuple(utilities),
-            weight_dists=inst.weight_dists,
-        )
-        assert altered == fresh
-        for t in range(inst.n):
-            for ci, cj in itertools.permutations(range(inst.m), 2):
-                assert pairwise_case_2f(altered, t, ci, cj) == pairwise_case_2f(fresh, t, ci, cj)
-                for strict in (True, False):
-                    assert pr_prefers(altered, t, ci, cj, strict) == pr_prefers(fresh, t, ci, cj, strict)
-            for size in range(1, inst.m + 1):
-                for pool in itertools.combinations(range(inst.m), size):
-                    for c in pool:
-                        assert pr_top(altered, t, c, pool) == pr_top(fresh, t, c, pool)
-    assert all(now is then for now, then in zip(inst.pair_facts, before))
 
 
 @settings(max_examples=30)
@@ -607,7 +562,7 @@ def test_memoized_pros_2f_equals_cold_evaluation(kind):
             check(warm, matching)
     assert all(facts.factors for facts in warm.pair_facts)
     for s in range(inst.n):
-        altered = warm.with_report(s, inst.utilities[(s + 1) % inst.n])
+        altered = with_report(warm, s, inst.utilities[(s + 1) % inst.n])
         for matching in matchings:
             check(altered, matching)
 
