@@ -33,7 +33,8 @@ from .model import (
     serialize_instance,
 )
 from .oracle import (
-    DEFAULT_BUDGET, DEFAULT_SEED, BudgetExceededError, ExperimentConfig, audit_ic, optimal_pros, run_experiment
+    AUDIT_BUDGET, DEFAULT_BUDGET, DEFAULT_SEED, BudgetExceededError, ExperimentConfig, audit_ic, optimal_pros,
+    run_experiment,
 )
 from .prob import (
     DEFAULT_SAMPLES, _exact_evaluator, potential_blockers, pros_exact, pros_monte_carlo, stability_interval
@@ -401,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit-ic", help="incentive-compatibility audit over deterministic misreports")
     p.add_argument("instance")
     p.add_argument("--level", choices=["ic-c", "ic-r"], default="ic-c")
-    p.add_argument("--budget", type=int, default=250_000)
+    p.add_argument("--budget", type=int, default=AUDIT_BUDGET)
     _add_sampling(p)
     _add_common(p, with_strategy=True)
     p.set_defaults(func=_cmd_audit_ic)

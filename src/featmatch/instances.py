@@ -51,19 +51,16 @@ def _ids(prefix: str, count: int) -> tuple[str, ...]:
     return tuple(f"{prefix}{i + 1}" for i in range(count))
 
 
-def _uniform_dists(n: int, dim: int) -> tuple[WeightDistribution, ...]:
-    return tuple(UniformSimplex(dim) for _ in range(n))
-
-
-def _build(n, m, prefs, utilities, dists=None, caps=None, features=None) -> Instance:
+def _build(n, m, prefs, utilities) -> Instance:
+    """A hand-built family member: unit capacities, two features and flat weights."""
     return Instance(
         students=_ids("s", n),
         colleges=_ids("c", m),
-        capacities=tuple(caps) if caps else tuple(1 for _ in range(m)),
+        capacities=tuple(1 for _ in range(m)),
         college_prefs=tuple(tuple(p) for p in prefs),
-        features=features or ("f1", "f2"),
+        features=("f1", "f2"),
         utilities=tuple(tuple(tuple(F(u) for u in row) for row in per_s) for per_s in utilities),
-        weight_dists=tuple(dists) if dists else _uniform_dists(n, 2),
+        weight_dists=tuple(UniformSimplex(2) for _ in range(n)),
     )
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -168,11 +169,11 @@ def integer_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 # Each kind owns its math.  ``mean`` is the componentwise weight expectation;
-# ``expected(values)`` is E[sum_f w_f * values[f]]; ``w1_measure(lo, hi)`` is
-# the probability that the first feature's weight lies in the closed interval
-# [lo, hi] (two features only, ends in [0, 1]); ``sample(k, rng)`` draws k
-# weight vectors as a (k, dim) float array; ``to_dict`` is the JSON form.  Uniform and discrete results are
-# exact Fractions, beta results are floats; ``exact`` says which.
+# ``w1_measure(lo, hi)`` is the probability that the first feature's weight
+# lies in the closed interval [lo, hi] (two features only, ends in [0, 1]);
+# ``sample(k, rng)`` draws k weight vectors as a (k, dim) float array;
+# ``to_dict`` is the JSON form.  Uniform and discrete results are exact
+# Fractions, beta results are floats; ``exact`` says which.
 
 
 @dataclass(frozen=True)
@@ -186,12 +187,9 @@ class UniformSimplex:
         if self.dim < 1:
             raise ValidationError("distribution dimension mismatch: dim must be >= 1")
 
-    @property
+    @cached_property
     def mean(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(1, self.dim) for _ in range(self.dim))
-
-    def expected(self, values) -> Fraction:
-        return sum(values) / Fraction(self.dim)
 
     def w1_measure(self, lo, hi) -> Fraction:
         # w_f1 is uniform on [0, 1]
@@ -270,10 +268,6 @@ class DiscreteWeights:
         W, dw, P, dp = self.kernel
         return tuple(Fraction(int(x), dw * dp) for x in integer_matmul(P, W))
 
-    def expected(self, values) -> Fraction:
-        # w . values is linear in w, so its expectation is mean . values
-        return sum((m * v for m, v in zip(self.mean, values)), Fraction(0))
-
     def w1_measure(self, lo, hi) -> Fraction:
         W, dw, _, _ = self.kernel
         lo, hi = Fraction(lo), Fraction(hi)
@@ -326,10 +320,6 @@ class BetaWeights:
     def mean(self) -> tuple[float, float]:
         m1 = self.alpha / (self.alpha + self.beta)
         return (m1, 1.0 - m1)
-
-    def expected(self, values) -> float:
-        m1, m2 = self.mean
-        return m1 * float(values[0]) + m2 * float(values[1])
 
     def w1_measure(self, lo, hi) -> float:
         if lo > hi:
@@ -735,8 +725,10 @@ def parse_instance(text: str) -> Instance:
         doc = json.loads(text)
     except RecursionError:
         raise ParseError("malformed document: nested too deeply") from None
-    except ValueError as exc:  # a JSONDecodeError, or an integer past the int-to-str digit limit
+    except json.JSONDecodeError as exc:
         raise ParseError(f"malformed document: {exc}") from exc
+    except ValueError as exc:  # an integer past the int-to-str digit limit
+        raise ParseError(f"malformed document: an integer has more than {sys.get_int_max_str_digits()} digits") from exc
     if not isinstance(doc, dict):
         raise ParseError("malformed document: top level must be an object")
     return instance_from_dict(doc)

@@ -94,7 +94,8 @@ __all__ = [
     "check_transitivity",
 ]
 
-DEFAULT_BUDGET = 10_000_000
+DEFAULT_BUDGET = 10_000_000  # (m + 1)^n assignments for the optimum search
+AUDIT_BUDGET = 250_000  # n * (m! + 1) misreports for the incentive audit
 DEFAULT_SEED = 42
 AUDIT_NOTE = "finite misreport space: absence of violations is evidence, not certification"
 
@@ -362,7 +363,7 @@ def _menu(inst: Instance, strategy: Strategy, s: int, samples, seed) -> set[int]
 def improvement_scan(
     inst: Instance,
     strategy: Strategy,
-    budget: int = 250_000,
+    budget: int = AUDIT_BUDGET,
     samples: int = DEFAULT_SAMPLES,
     seed: Union[int, None] = None,
 ) -> tuple[int, list[tuple[int, str, Union[Fraction, float]]]]:
@@ -391,11 +392,10 @@ def improvement_scan(
         old_c = truthful.college_of(s)
         menu = _menu(inst, strategy, s, samples, seed)
         gains = {}  # menu college -> Pr[it strictly beats old_c], when positive
+        # old_c is never None here: her truthful outcome is the first college of
+        # her order in her menu, so an unmatched student has an empty menu
         for c in menu - {old_c}:
-            if old_c is None:  # unmatched is worse than any college
-                prob = Fraction(1)
-            else:
-                prob = pr_prefers(inst, s, c, old_c, strict=True, samples=samples, seed=seed)
+            prob = pr_prefers(inst, s, c, old_c, strict=True, samples=samples, seed=seed)
             if prob > 0:
                 gains[c] = prob
         if not gains:
@@ -411,7 +411,7 @@ def audit_ic(
     inst: Instance,
     strategy: Strategy,
     level: str = "ic-c",
-    budget: int = 250_000,
+    budget: int = AUDIT_BUDGET,
     samples: int = DEFAULT_SAMPLES,
     seed: Union[int, None] = None,
 ) -> IcAuditReport:

@@ -47,11 +47,12 @@ consecutive blocks of ``MC_BLOCK`` rows, scores each block and counts the rows
 where each event holds, so no estimate is ever held whole and memory does
 not grow with the sample count; the blocks give the same floats as one draw
 of every row.  A fraction is a count over the sample count.  The table keeps
-each estimate under its (samples, seed): both strict fractions of a college
-pair from one pass over the pair's substream, and each top-rank fraction, so
-repeated comparisons cost a lookup and stay bit-identical.  A no-block
-fraction in ``pros_monte_carlo`` counts the same top-rank event, match
-against blockers, on the student's own substream.
+both strict fractions of a college pair under their (samples, seed), from one
+pass over the pair's substream, so repeated comparisons cost a lookup and
+stay bit-identical.  A top-rank fraction is counted afresh on each call:
+proposal orders are kept in the table too, so no (college, rivals) question
+is asked twice.  A no-block fraction in ``pros_monte_carlo`` counts the same
+top-rank event, match against blockers, on the student's own substream.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ from .model import (
     WeightDistribution,
     integer_matmul,
     integer_matrix,
+    validate_matching,
 )
 
 __all__ = [
@@ -185,8 +187,7 @@ class _Facts:
     strict: Union[list, None]
     factors: dict = field(default_factory=dict)  # (college, blockers) -> stability factor; see _factor
     orders: dict = field(default_factory=dict)  # (rule, samples, seed) -> proposal order; see gda
-    # Monte Carlo path: (samples, seed, ci, cj) -> strict fraction and
-    # (samples, seed, c, rivals) -> top-rank fraction; see pr_prefers and pr_top
+    # Monte Carlo path: (samples, seed, ci, cj) -> strict fraction; see pr_prefers
     estimates: dict = field(default_factory=dict)
 
 
@@ -344,7 +345,9 @@ def pr_top(
 
     This is the event "no rival strictly beats c", so on the exact path it is
     the stability factor of c against the rivals (``_factor``) and lands in,
-    and reuses, the same memo in the student's table.
+    and reuses, the same memo in the student's table.  On the Monte Carlo
+    path it is counted afresh on every call: its callers fix each proposal
+    order once, so the same question is not asked again.
     """
     pool = sorted(set(pool))
     if c not in pool:
@@ -352,15 +355,11 @@ def pr_top(
     rivals = tuple(d for d in pool if d != c)
     if not rivals:
         return Fraction(1)
-    facts = _facts(inst, s)
-    if facts.strict is not None:
+    if _facts(inst, s).strict is not None:
         return _factor(inst, s, c, rivals)
     _check_mc(samples, seed)
-    key = (samples, seed, c, rivals)
-    if key not in facts.estimates:
-        (top,) = _mc_counts(inst, s, samples, seed, (s, c, 104729), (_weakly_tops(c, list(rivals)),))
-        facts.estimates[key] = top / samples
-    return facts.estimates[key]
+    (top,) = _mc_counts(inst, s, samples, seed, (s, c, 104729), (_weakly_tops(c, list(rivals)),))
+    return top / samples
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +368,9 @@ def pr_top(
 
 
 def expected_utility(inst: Instance, s: int, c: int) -> Prob:
-    """E over the weight distribution of the weighted utility of college c."""
-    return inst.weight_dists[s].expected([row[c] for row in inst.utilities[s]])
+    """E over the weight distribution of the weighted utility of college c:
+    w . u(c) is linear in w, so it is the mean weight dotted with u(c)."""
+    return sum(w * row[c] for w, row in zip(inst.weight_dists[s].mean, inst.utilities[s]))
 
 
 @dataclass(frozen=True)
@@ -577,8 +577,6 @@ def pros_monte_carlo(inst: Instance, matching: Matching, samples: int, seed: int
 
 
 def _require_feasible(inst: Instance, matching: Matching) -> None:
-    from .model import validate_matching
-
     verdict = validate_matching(inst, matching)
     if not verdict.ok:
         raise ValidationError(f"infeasible matching: {verdict.violations[0]}")

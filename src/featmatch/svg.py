@@ -34,22 +34,16 @@ def _fmt(x: float) -> str:
     return f"{x:.4f}"
 
 
-def render_box_plot(
-    groups: list[tuple[str, list[float]]],
-    title: str = "",
-    y_label: str = "",
-) -> str:
+def render_box_plot(groups: list[tuple[str, list[float]]], title: str, y_label: str) -> str:
     """Render one box per (label, values) group into a standalone SVG, on a
     y axis from 0 to 1."""
     if not groups:
         raise ValueError("nothing to plot")
-    y_lo, y_hi = 0.0, 1.0
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
 
     def ypix(v: float) -> float:
-        frac = (v - y_lo) / (y_hi - y_lo)
-        return MARGIN_T + (1.0 - frac) * plot_h
+        return MARGIN_T + (1.0 - v) * plot_h
 
     slot = plot_w / len(groups)
     box_w = min(60.0, slot * 0.5)
@@ -59,22 +53,18 @@ def render_box_plot(
         f'width="{WIDTH}" height="{HEIGHT}" font-family="monospace" font-size="12">',
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{WIDTH / 2:.1f}" y="24" text-anchor="middle" font-size="16">{title}</text>'
-        )
-    if y_label:
-        parts.append(
-            f'<text x="16" y="{MARGIN_T + plot_h / 2:.1f}" text-anchor="middle" '
-            f'transform="rotate(-90 16 {MARGIN_T + plot_h / 2:.1f})">{y_label}</text>'
-        )
+    parts.append(f'<text x="{WIDTH / 2:.1f}" y="24" text-anchor="middle" font-size="16">{title}</text>')
+    parts.append(
+        f'<text x="16" y="{MARGIN_T + plot_h / 2:.1f}" text-anchor="middle" '
+        f'transform="rotate(-90 16 {MARGIN_T + plot_h / 2:.1f})">{y_label}</text>'
+    )
     # frame and y ticks
     parts.append(
         f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="black"/>'
     )
     for i in range(5):
-        v = y_lo + (y_hi - y_lo) * i / 4
+        v = i / 4
         y = ypix(v)
         parts.append(
             f'<line x1="{MARGIN_L - 5}" y1="{y:.1f}" x2="{MARGIN_L}" y2="{y:.1f}" stroke="black"/>'

@@ -264,6 +264,21 @@ def test_scipy_special_is_imported_only_for_beta_weights():
         assert BetaWeights(alpha, beta).w1_measure(lo, hi).hex() == want
 
 
+def test_import_loads_only_the_standard_library_and_numpy():
+    # start-up cost is mostly imports: importing the package and its CLI may
+    # load no third-party module but numpy (modules that site loads before the
+    # first statement are not counted)
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import featmatch, featmatch.cli\n"
+        "print(*sorted({name.partition('.')[0] for name in set(sys.modules) - before}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(featmatch.__file__)))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert set(run.stdout.split()) - set(sys.stdlib_module_names) == {"featmatch", "numpy"}
+
+
 @settings(max_examples=40)
 @given(
     seed=st.integers(0, 10**6),

@@ -250,6 +250,32 @@ def test_menu_chain_can_return_to_the_probed_college():
         assert improvement_scan(inst, rule) == full_rerun_scan(inst, rule, {})
 
 
+def test_unmatched_students_have_empty_menus():
+    # a student ends unmatched only after every college has rejected her, and
+    # her truthful outcome is the first college of her order in her menu, so
+    # her menu is empty and the scan lists no gain for her
+    families = [
+        (2, "uniform_simplex", {}),
+        (2, "discrete", {}),
+        (2, ("beta2", 2.0, 5.0), {}),
+        (3, "uniform_simplex", {"samples": 500, "seed": 11}),
+    ]
+    unmatched = 0
+    for (k, dist, setting), m, extra in itertools.product(families, (2, 3, 4), (1, 2)):
+        n = m + extra  # more students than seats
+        inst = gen_random(n, m, num_features=k, dist_kind=dist, seed=10 * m + extra)
+        samples, seed = setting.get("samples", DEFAULT_SAMPLES), setting.get("seed")
+        for rule in Strategy:
+            truthful, _ = run_gda(inst, rule, **setting)
+            _, improvements = improvement_scan(inst, rule, **setting)
+            for s in range(n):
+                if truthful.college_of(s) is None:
+                    unmatched += 1
+                    assert oracle._menu(inst, rule, s, samples, seed) == set(), (k, dist, n, m, rule, s)
+                    assert all(t != s for t, _, _ in improvements), (k, dist, n, m, rule, s)
+    assert unmatched == 4 * 4 * sum(extra for _, extra in itertools.product((2, 3, 4), (1, 2)))
+
+
 def test_improvement_scan_walks_once_per_student_and_college(monkeypatch):
     # the truthful run, one run without each student from the empty state,
     # and per student one resumed walk per college whose first round is hers

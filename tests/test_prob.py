@@ -398,6 +398,29 @@ def test_expected_utility_goldens():
     assert [expected_utility(ex1, 2, c) for c in range(3)] == [F(11, 20), F(3, 10), F(7, 20)]
 
 
+def test_expected_utility_is_the_mean_weight_dotted_with_the_utilities():
+    # references: E[w . u] written out per distribution class
+    kinds = [(2, "uniform_simplex"), (3, "uniform_simplex"), (2, "discrete"), (3, "discrete"),
+             (2, ("beta2", 2.0, 5.0)), (2, ("beta2", 0.5, 3.0))]
+    for (k, dist), seed in itertools.product(kinds, range(3)):
+        inst = gen_random(3, 4, num_features=k, dist_kind=dist, seed=seed)
+        for s, d in enumerate(inst.weight_dists):
+            for c in range(inst.m):
+                col = [row[c] for row in inst.utilities[s]]
+                got = expected_utility(inst, s, c)
+                if isinstance(d, BetaWeights):
+                    m1 = d.alpha / (d.alpha + d.beta)
+                    m2 = 1.0 - m1
+                    assert got.hex() == (m1 * float(col[0]) + m2 * float(col[1])).hex()
+                    continue
+                if isinstance(d, DiscreteWeights):
+                    mean = [sum(p * w[f] for w, p in d.atoms) for f in range(k)]
+                    want = sum(mf * u for mf, u in zip(mean, col))
+                else:
+                    want = sum(col) / F(d.dim)
+                assert isinstance(got, F) and got == want
+
+
 def test_expected_utility_degenerate_cases():
     inst = gen_random(1, 2, seed=5)
     # identical utilities across features: expectation equals the common value
