@@ -433,6 +433,11 @@ class Instance:
         )
 
     @cached_property
+    def utilities_int(self) -> tuple[tuple[np.ndarray, int], ...]:
+        """Each student's utility rows as ``integer_matrix(rows)``: ``(U, du)``."""
+        return tuple(integer_matrix(rows) for rows in self.utilities)
+
+    @cached_property
     def pair_facts(self) -> list:
         """Per-student slots for ``prob``'s pairwise-fact tables; None until built."""
         return [None] * self.n
@@ -563,7 +568,9 @@ class ProsResult:
 # ---------------------------------------------------------------------------
 
 
-def _dist_from_dict(doc, num_features: int, sid: str) -> WeightDistribution:
+def _dist_from_dict(doc, num_features: int, sid: str, rational) -> WeightDistribution:
+    """Parse one weight distribution document; ``rational`` is the
+    document's memo around ``parse_rational`` (see ``instance_from_dict``)."""
     if not isinstance(doc, dict) or "type" not in doc:
         raise ParseError(f"malformed document: weight_dists[{sid!r}] needs a 'type'")
     kind = doc["type"]
@@ -572,7 +579,7 @@ def _dist_from_dict(doc, num_features: int, sid: str) -> WeightDistribution:
     if kind == "discrete":
         try:
             atoms = tuple(
-                (tuple(parse_rational(x) for x in atom["w"]), parse_rational(atom["p"]))
+                (tuple(rational(x) for x in atom["w"]), rational(atom["p"]))
                 for atom in doc["support"]
             )
         except (KeyError, TypeError) as exc:
@@ -595,13 +602,20 @@ def _parse_shape(value, sid: str) -> float:
     raise ParseError(f"malformed document: bad beta2 shape parameter {value!r} for {sid!r}")
 
 
+# without the circular check, a document that contains itself raises RecursionError
+_KEY_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
+
+
 def _document_key(doc):
-    """Equal keys for equal JSON documents.  Unlike ``==``, the JSON text
-    keeps ``true`` apart from ``1``; a document that is not plain JSON gets a
-    key of its own."""
+    """Equal keys for equal JSON documents: the JSON text with sorted keys,
+    from one reused encoder.  Unlike ``==``, the JSON text keeps ``true``
+    apart from ``1``; a document that is not plain JSON, or that contains
+    itself, gets a key of its own.  Students with equal keys share one
+    parsed distribution, and within a document each distinct rational
+    string is parsed once (see ``instance_from_dict``)."""
     try:
-        return json.dumps(doc, sort_keys=True)
-    except (TypeError, ValueError):
+        return _KEY_ENCODER.encode(doc)
+    except (TypeError, ValueError, RecursionError):
         return object()
 
 
@@ -632,6 +646,18 @@ def instance_from_dict(doc: Mapping) -> Instance:
 
     s_index = {s: i for i, s in enumerate(students)}
     c_index = {c: i for i, c in enumerate(colleges)}
+
+    # each distinct rational string in the document is parsed once; other
+    # values, and strings that fail, go to parse_rational every time
+    parsed_strings: dict[str, Fraction] = {}
+
+    def rational(value) -> Fraction:
+        if type(value) is not str:
+            return parse_rational(value)
+        q = parsed_strings.get(value)
+        if q is None:
+            q = parsed_strings[value] = parse_rational(value)
+        return q
 
     capacities = []
     for c in colleges:
@@ -670,7 +696,7 @@ def instance_from_dict(doc: Mapping) -> Instance:
             for cid, val in row_doc.items():
                 if cid not in c_index:
                     raise ValidationError(f"unknown college id: {cid!r} in utilities of {s}")
-                row[c_index[cid]] = parse_rational(val)
+                row[c_index[cid]] = rational(val)
             missing = [colleges[j] for j in range(len(colleges)) if colleges[j] not in row_doc]
             if missing:
                 raise ParseError(f"malformed document: {s!r} lacks a {f!r} utility for {missing[0]!r}")
@@ -685,7 +711,7 @@ def instance_from_dict(doc: Mapping) -> Instance:
             raise ParseError(f"malformed document: missing weight distribution for {s!r}")
         key = _document_key(dists_doc[s])
         if key not in parsed:
-            parsed[key] = _dist_from_dict(dists_doc[s], len(features), s)
+            parsed[key] = _dist_from_dict(dists_doc[s], len(features), s, rational)
         dists.append(parsed[key])
 
     return Instance(

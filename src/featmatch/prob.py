@@ -10,7 +10,7 @@ interval.  Exact rational arithmetic is used whenever every input on the
 path is rational; estimation is never silently substituted.
 
 The case split runs on integers.  A student's utility rows are ``U / du``
-(``model.integer_matrix``), and the common denominator cancels from every
+(``Instance.utilities_int``), and the common denominator cancels from every
 difference, so each cutoff is the integer pair ``(D2, D1 + D2)`` of the
 rows of ``U``, and ``_window`` compares window ends by cross-multiplying.
 Fractions are built only where a window or cutoff is measured
@@ -24,10 +24,12 @@ so every table belongs to a student's true utilities.
 
 Discrete weights are evaluated on integers.  A distribution's ``kernel``
 holds its support as ``W / dw`` and its probabilities as ``P / dp``, and a
-student's utilities are ``U / du`` (``model.integer_matrix``), so the atom
-scores ``W @ U`` are exact integers and an event over atoms has probability
-``DiscreteWeights.mass(mask)``, an integer sum over ``dp``.  The strict
-table, ``_factor`` and ``pros_exact_discrete`` all go through it.
+student's utilities are ``U / du``, built once per student as the view
+``Instance.utilities_int``, so the atom scores ``W @ U`` are exact integers
+and an event over atoms has probability ``DiscreteWeights.mass(mask)``, an
+integer sum over ``dp``.  ``_factor`` and ``pros_exact_discrete`` go through
+it; the strict table is one integer product per row, ``P`` times the masks
+of the atoms where college i scores above each college.
 
 Potential blockers come from one integer cutoff per college and matching
 (``_cutoffs``): n while the college has a free seat, else the worst
@@ -72,7 +74,6 @@ from .model import (
     ValidationError,
     WeightDistribution,
     integer_matmul,
-    integer_matrix,
     validate_matching,
 )
 
@@ -199,13 +200,15 @@ def _facts(inst: Instance, s: int) -> _Facts:
     dist, k, m = inst.weight_dists[s], inst.num_features, inst.m
     cases = atoms = strict = None
     if k == 2 or isinstance(dist, DiscreteWeights):
-        u = integer_matrix(inst.utilities[s])[0]  # the utilities times their common denominator
+        u = inst.utilities_int[s][0]  # the utilities times their common denominator
     if k == 2:
         a, b = u.tolist()
         cases = [[_case(a[i], b[i], a[j], b[j]) for j in range(m)] for i in range(m)]
     if isinstance(dist, DiscreteWeights):
-        atoms = integer_matmul(dist.kernel[0], u)
-        strict = [[dist.mass(atoms[:, i] > atoms[:, j]) for j in range(m)] for i in range(m)]
+        W, _, P, dp = dist.kernel
+        atoms = integer_matmul(W, u)
+        # row i: P times the mask of atoms where college i beats each college
+        strict = [[Fraction(int(x), dp) for x in P @ (atoms[:, [i]] > atoms).astype(P.dtype)] for i in range(m)]
     elif cases is not None:
         strict = [[_case_prob(dist, case) for case in row] for row in cases]
     facts = inst.pair_facts[s] = _Facts(cases, atoms, strict)
@@ -510,7 +513,7 @@ def pros_exact_discrete(inst: Instance, matching: Matching) -> ProsResult:
             factors.append(Fraction(0) if candidates else Fraction(1))
             continue
         dist = inst.weight_dists[s]
-        u, _ = integer_matrix(inst.utilities[s])
+        u, _ = inst.utilities_int[s]
         # c strictly beats the match at w iff w . (u_c - u_match) > 0
         gains = integer_matmul(dist.kernel[0], u[:, list(candidates)] - u[:, [match]])
         factors.append(dist.mass((gains <= 0).all(axis=1)))

@@ -14,7 +14,12 @@ case split computes the two-feature cutoffs from the utilities as
 Fractions.  ``unrejected_at_last_proposal`` reads HERF's certificate sets
 off a run's trace, and ``expected_rank_orders`` is the expected-rank
 reading of HERF that the certificate rules out.  The malformed-document
-list is shared by the parser and CLI exit-code tests.
+list is shared by the parser and CLI exit-code tests.  The reference
+instance calls ``parse_rational`` once for every rational value in a
+document, and the per-pair strict table and the kernel stability product
+are the integer formulas that one product per table row and the cached
+integer utilities replaced: one atom mask per college pair, and each
+student's utilities cleared afresh.
 """
 
 from __future__ import annotations
@@ -27,7 +32,17 @@ from fractions import Fraction as F
 import numpy as np
 
 from featmatch.gda import run_gda
-from featmatch.model import BetaWeights, DiscreteWeights, Instance, ParseError, ValidationError
+from featmatch.model import (
+    BetaWeights,
+    DiscreteWeights,
+    Instance,
+    ParseError,
+    UniformSimplex,
+    ValidationError,
+    integer_matmul,
+    integer_matrix,
+    parse_rational,
+)
 from featmatch.oracle import enumerate_matchings
 from featmatch.prob import ALWAYS, NEVER, THRESHOLD_ABOVE, THRESHOLD_BELOW, pr_prefers, pros_exact
 
@@ -275,6 +290,58 @@ def atom_pros(inst: Instance, matching) -> F:
                 good += p
         total *= good
     return total
+
+
+def pairwise_strict(inst: Instance, s: int) -> list:
+    """Discrete student s's strict table, one atom mask per ordered college
+    pair: Pr[ci strictly beats cj] is the mass of the atoms scoring ci above cj."""
+    dist = inst.weight_dists[s]
+    atoms = integer_matmul(dist.kernel[0], integer_matrix(inst.utilities[s])[0])
+    return [[dist.mass(atoms[:, i] > atoms[:, j]) for j in range(inst.m)] for i in range(inst.m)]
+
+
+def kernel_pros(inst: Instance, matching) -> F:
+    """Stability probability when every student has discrete weights, on the
+    integer kernel: each student's utilities are cleared afresh and her
+    textbook blockers' gains over her match scored at every atom."""
+    total = F(1)
+    for s, match in enumerate(matching.assignment):
+        candidates = textbook_blockers(inst, matching, s)
+        if match is None:
+            total *= F(0) if candidates else F(1)
+            continue
+        dist = inst.weight_dists[s]
+        u, _ = integer_matrix(inst.utilities[s])
+        gains = integer_matmul(dist.kernel[0], u[:, candidates] - u[:, [match]])
+        total *= dist.mass((gains <= 0).all(axis=1))
+    return total
+
+
+def reference_instance(doc: dict) -> Instance:
+    """The instance a valid document with uniform or discrete weights
+    describes, with ``parse_rational`` called once for every rational value
+    and no distribution shared between students."""
+    students, colleges, features = tuple(doc["students"]), tuple(doc["colleges"]), tuple(doc["features"])
+
+    def dist(d):
+        if d["type"] == "uniform_simplex":
+            return UniformSimplex(len(features))
+        return DiscreteWeights(
+            tuple((tuple(parse_rational(x) for x in atom["w"]), parse_rational(atom["p"])) for atom in d["support"])
+        )
+
+    return Instance(
+        students=students,
+        colleges=colleges,
+        capacities=tuple(doc["capacities"][c] for c in colleges),
+        college_prefs=tuple(tuple(students.index(s) for s in doc["college_prefs"][c]) for c in colleges),
+        features=features,
+        utilities=tuple(
+            tuple(tuple(parse_rational(doc["utilities"][s][f][c]) for c in colleges) for f in features)
+            for s in students
+        ),
+        weight_dists=tuple(dist(doc["weight_dists"][s]) for s in students),
+    )
 
 
 def malformed_documents(doc: dict):

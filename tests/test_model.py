@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -19,6 +20,7 @@ from featmatch.model import (
     UniformSimplex,
     ValidationError,
     format_rational,
+    instance_from_dict,
     parse_instance,
     parse_rational,
     serialize_instance,
@@ -26,7 +28,7 @@ from featmatch.model import (
 )
 from featmatch.instances import gen_random, non_transitive, worked_example
 
-from helpers import malformed_documents
+from helpers import malformed_documents, reference_instance
 
 EX1_JSON = {
     "students": ["s1", "s2", "s3"],
@@ -184,6 +186,132 @@ def test_malformed_documents():
     for _, text, error in malformed_documents(EX1_JSON):
         with pytest.raises(error):
             parse_instance(text)
+
+
+MALFORMED_MESSAGES = {
+    "utilities not an object": "malformed document: utilities must be an object",
+    "student utilities not an object": "malformed document: utilities of 's1' must be an object",
+    "feature row as a list": "malformed document: utilities of 's1' on feature 'f1' must be an object",
+    "college_prefs a string": "malformed document: college_prefs must be an object",
+    "college_prefs a list": "malformed document: college_prefs must be an object",
+    "preference entry a number": "malformed document: preferences of 'c1' must be a list of student ids",
+    "preference entry of lists": "malformed document: preferences of 'c1' must be a list of student ids",
+    "utility 1e400": "malformed document: non-finite number inf",
+    "utility NaN": "malformed document: non-finite number nan",
+    "duplicate feature ids": "duplicate student, college or feature ids",
+    "students a string": "malformed document: students must be a list of strings",
+    "colleges a string": "malformed document: colleges must be a list of strings",
+    "features an object": "malformed document: features must be a list of strings",
+    "student id a number": "malformed document: students must be a list of strings",
+    "feature id null": "malformed document: features must be a list of strings",
+}
+
+
+def test_malformed_documents_keep_their_messages():
+    cases = malformed_documents(EX1_JSON)
+    assert [label for label, _, _ in cases] == list(MALFORMED_MESSAGES)
+    for label, text, error in cases:
+        with pytest.raises(error) as info:
+            parse_instance(text)
+        assert type(info.value) is error and str(info.value) == MALFORMED_MESSAGES[label]
+
+
+# rational values that repeat as strings and mix forms of one number
+_VALUES = ["1/2", "0.5", 0.5, 1, "1", 0, "0", "1/4", "0.25", 0.25, "3/4", "0.75"]
+_WEIGHTS = [["1/2", "0.5"], [0.5, "1/2"], ["1", 0], [0, 1], ["1/4", "0.75"], ["0.25", "3/4"], [0.25, "3/4"]]
+_PROBS = ["1/4", "0.25", 0.25]
+
+
+def _mixed_document(seed: int) -> dict:
+    """EX1's document with every utility drawn from ``_VALUES`` and each
+    student's weights one of two four-atom discrete supports, so strings
+    repeat within and across utilities and supports."""
+    rng = random.Random(seed)
+    doc = json.loads(json.dumps(EX1_JSON))
+    supports = [
+        {"type": "discrete", "support": [{"w": rng.choice(_WEIGHTS), "p": rng.choice(_PROBS)} for _ in range(4)]}
+        for _ in range(2)
+    ]
+    for s in doc["students"]:
+        for row in doc["utilities"][s].values():
+            for c in row:
+                row[c] = rng.choice(_VALUES)
+        doc["weight_dists"][s] = json.loads(json.dumps(rng.choice(supports)))
+    return doc
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_repeated_rational_strings_parse_to_the_same_instance(seed):
+    doc = _mixed_document(seed)
+    inst = parse_instance(json.dumps(doc))
+    assert inst == reference_instance(doc)
+    assert all(type(u) is F for per_feature in inst.utilities for row in per_feature for u in row)
+    assert all(type(x) is F for dist in inst.weight_dists for w, p in dist.atoms for x in (*w, p))
+
+
+def _set(doc: dict, path: tuple, value) -> dict:
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+_UTILITY = ("utilities", "s2", "f2", "c3")  # a utility parsed after most others
+_PROB = ("weight_dists", "s3", "support", 2, "p")
+_WEIGHT = ("weight_dists", "s1", "support", 1, "w", 0)
+
+
+@pytest.mark.parametrize(
+    "edits, error, message",
+    [
+        ([(_UTILITY, True)], ParseError, "malformed document: expected a rational, got True"),
+        ([(_PROB, True)], ParseError, "malformed document: expected a rational, got True"),
+        ([(_WEIGHT, True)], ParseError, "malformed document: expected a rational, got True"),
+        ([(_UTILITY, ["1/2"])], ParseError, "malformed document: expected a rational, got list"),
+        ([(_UTILITY, "1/0")], ParseError, "malformed document: bad rational '1/0'"),
+        ([(_UTILITY, "x/2"), (_WEIGHT, "x/2")], ParseError, "malformed document: bad rational 'x/2'"),
+        ([(_UTILITY, "bad"), (_PROB, "worse")], ParseError, "malformed document: bad rational 'bad'"),
+        ([(_PROB, "0.5.5"), (_WEIGHT, "1/0")], ParseError, "malformed document: bad rational '1/0'"),
+        ([(_UTILITY, "1e2000")], ParseError, "malformed document: the exponent of '1e2000' exceeds 1000 in magnitude"),
+        ([(_UTILITY, "3/2")], ValidationError, "utility outside [0,1]: student s2 has 3/2"),
+        ([(_UTILITY, "1.5")], ValidationError, "utility outside [0,1]: student s2 has 3/2"),
+        ([(_PROB, "1/3")], ValidationError, "probabilities must sum to 1"),
+    ],
+)
+def test_failing_documents_with_repeated_strings_keep_their_errors(edits, error, message):
+    for seed in range(3):
+        doc = _mixed_document(seed)
+        for path, value in edits:
+            _set(doc, path, value)
+        with pytest.raises(error) as info:
+            parse_instance(json.dumps(doc))
+        assert type(info.value) is error and str(info.value) == message
+
+
+def test_a_distribution_document_that_contains_itself_is_a_parse_error():
+    support = {"type": "discrete"}
+    support["support"] = [support]
+    atom = {"p": 1}
+    atom["w"] = [atom, 0]
+    unread = {"type": "uniform_simplex"}
+    unread["self"] = unread
+    cases = [
+        (support, "malformed document: bad discrete support for 's2'"),
+        ({"type": "discrete", "support": [atom]}, "malformed document: expected a rational, got dict"),
+    ]
+    for dist, message in cases:
+        doc = json.loads(json.dumps(EX1_JSON))
+        doc["weight_dists"]["s2"] = doc["weight_dists"]["s3"] = dist
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as info:
+            instance_from_dict(doc)
+        assert str(info.value) == message
+        assert time.perf_counter() - start < 1.0
+    # a reference the parser never reads leaves the document valid
+    doc = json.loads(json.dumps(EX1_JSON))
+    doc["weight_dists"]["s2"] = unread
+    assert instance_from_dict(doc).weight_dists[1] == UniformSimplex(2)
 
 
 def test_id_lists_must_be_lists_of_strings():

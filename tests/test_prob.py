@@ -38,8 +38,10 @@ from helpers import (
     atom_top,
     fraction_case,
     grid_pros,
+    kernel_pros,
     one_shot_mc,
     one_shot_weights,
+    pairwise_strict,
     textbook_blockers,
     triangle_quadrature_strict,
     with_report,
@@ -528,6 +530,52 @@ def test_pros_interval_vs_discrete_enumeration_exact():
         inst = gen_random(3, 3, dist_kind="discrete", seed=900 + seed)
         m, _ = run_gda(inst, Strategy.LOCV)
         assert pros_exact_2f(inst, m).value == pros_exact_discrete(inst, m).value
+
+
+def _discrete_table_instances():
+    """Seeded discrete instances on three colleges: two and three features,
+    unit capacities (3 students) and spread ones (4 students, capacities
+    2, 1, 1), and a two-feature one whose support and probabilities have
+    denominators near 2^40, so its kernel and atom scores are Python ints."""
+    out = [
+        gen_random(n, 3, capacities=caps, num_features=k, dist_kind="discrete", seed=60 + seed)
+        for k in (2, 3)
+        for n, caps in ((3, "ones"), (4, "spread"))
+        for seed in range(2)
+    ]
+    d1, d2 = 2**40 + 1, 2**40 + 3
+    w1 = (F(3 * 2**38, d1), F(2**39, d2), F(5, d1))
+    p = (F(1, d1), F(1, d2), 1 - F(1, d1) - F(1, d2))
+    huge = DiscreteWeights(tuple(((x, 1 - x), q) for x, q in zip(w1, p)))
+    out.append(replace(gen_random(3, 3, dist_kind="discrete", seed=70), weight_dists=(huge,) * 3))
+    return out
+
+
+def test_strict_table_equals_one_atom_mask_per_pair():
+    instances = _discrete_table_instances()
+    assert instances[-1].weight_dists[0].kernel[2].dtype == object
+    for inst in instances:
+        for s in range(inst.n):
+            strict = prob._facts(inst, s).strict
+            assert strict == pairwise_strict(inst, s)
+            assert all(type(x) is F for row in strict for x in row)
+
+
+def test_integer_utilities_equal_a_fresh_integer_matrix():
+    instances = _discrete_table_instances() + _tied_instances("discrete")
+    assert any(inst.utilities_int[0][0].dtype == object for inst in instances)
+    for inst in instances:
+        for s in range(inst.n):
+            (got, d), (expected, e) = inst.utilities_int[s], integer_matrix(inst.utilities[s])
+            assert got.dtype == expected.dtype and d == e and np.array_equal(got, expected)
+
+
+def test_pros_exact_discrete_equals_the_kernel_formula():
+    # the tied instances' atoms score some blocker level with the match
+    for inst in _discrete_table_instances() + _tied_instances("discrete"):
+        for matching in enumerate_matchings(inst):
+            got = pros_exact_discrete(inst, matching)
+            assert got.kind == "exact" and got.value == kernel_pros(inst, matching)
 
 
 def test_pros_2f_matches_grid_oracle():
