@@ -27,7 +27,6 @@ from .prob import (
     PairwiseCase,
     expected_utility,
     stability_interval,
-    mean_weight,
     pairwise_case_2f,
     potential_blockers,
     pr_prefers,
@@ -49,7 +48,6 @@ from .oracle import (
     optimal_pros,
 )
 from .instances import (
-    FamilyParams,
     TransformResult,
     canonical,
     gen_random,

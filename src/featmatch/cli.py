@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .gda import Strategy, run_gda
 from .goldens import run_goldens
-from .instances import FAMILIES, FamilyParams, canonical, gen_random
+from .instances import FAMILIES, canonical, gen_random
 from .model import (
     Matching,
     ModelError,
@@ -326,16 +326,12 @@ def _cmd_paper_check(args) -> int:
 
 def _cmd_gen(args) -> int:
     if args.family is not None:
-        params = FamilyParams(
-            family=args.family,
-            delta=parse_rational(args.delta) if args.delta else None,
-            eps=parse_rational(args.eps) if args.eps else None,
-            n=args.n,
-            k=args.k,
-            y=parse_rational(args.y) if args.y else None,
-            z=parse_rational(args.z) if args.z else None,
-        )
-        inst = canonical(params)
+        params = {}  # only the flags given, so each default stays with its builder
+        for name in ("n", "k", "delta", "eps", "y", "z"):
+            value = getattr(args, name)
+            if value is not None:
+                params[name] = value if name in ("n", "k") else parse_rational(value)
+        inst = canonical(args.family, **params)
     else:
         dist_kind = args.dist
         if dist_kind == "beta2":

@@ -4,7 +4,9 @@ Every check compares library output against a frozen reference value from
 the source material's worked examples and constructed families, by exact
 rational equality wherever the computation path is exact.  The EXPECTED
 table is module-level so the self-test can perturb one entry and watch the
-harness flag exactly that name.
+harness flag exactly that name.  Each family is built with its builder's
+defaults, which the family formulas read, and each (instance, rule) pair
+runs GDA once.
 """
 
 from __future__ import annotations
@@ -13,7 +15,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gda import Strategy, comparison_vector, run_gda
-from .instances import golden_ratio, herf_tight, icr_conflict, non_transitive, vanishing_ratio, worked_example
+from .instances import (
+    DEFAULT_DELTA as _D,
+    DEFAULT_EPS as _E,
+    HERF_TIGHT_EPS,
+    golden_ratio,
+    herf_tight,
+    icr_conflict,
+    non_transitive,
+    vanishing_ratio,
+    worked_example,
+)
 from .model import Matching, format_rational
 from .oracle import audit_ic, check_transitivity, enumerate_matchings, optimal_pros
 from .prob import expected_utility, pr_prefers, pr_top, pros_exact_2f
@@ -30,9 +42,7 @@ class GoldenResult:
     detail: str
 
 
-_D, _E = F(1, 10), F(1, 1000)
-_HT_D, _HT_E = F(1, 10), F(1, 10**6)
-_Y, _Z = F(3, 10), F(2, 5)
+_Y, _Z = F(3, 10), F(2, 5)  # golden-ratio has no defaults
 
 EXPECTED = {
     "example1/s3-vector-c1": (F(6, 7), F(1)),
@@ -67,9 +77,9 @@ EXPECTED = {
     "icr-conflict/weak-c2-c3": (_D + 2 * _E) / (2 * _D + 2 * _E),
     "icr-conflict/pros-at-c2": _E * (_D + 2 * _E) / ((_D + _E) * (_D + 3 * _E)),
     "icr-conflict/pros-at-c1": (_D + 2 * _E) / (2 * _D + 6 * _E),
-    "herf-tight/herf-pros": (F(1, 3) + 2 * _HT_E / (3 * _HT_D)) ** 3,
+    "herf-tight/herf-pros": (F(1, 3) + 2 * HERF_TIGHT_EPS / (3 * _D)) ** 3,
     "herf-tight/optimal-pros": F(1),
-    "golden-ratio/positive-pros": {F(2, 5), F(3, 10), F(21, 50)},
+    "golden-ratio/positive-pros": {_Z, _Y, (1 - _Z) * (1 - _Y)},
 }
 
 
@@ -94,103 +104,82 @@ def _assert_true(results: list[GoldenResult], name: str, ok: bool, detail: str) 
     results.append(GoldenResult(name, bool(ok), detail))
 
 
+def _audit_clean(results: list[GoldenResult], name: str, inst, rule: Strategy, level: str) -> None:
+    report = audit_ic(inst, rule, level=level)
+    detail = f"{len(report.violations)} violation(s) over {report.misreports_tried} misreports"
+    _assert_true(results, name, report.ok, detail)
+
+
+def _gda_pros(inst, rule: Strategy) -> tuple[Matching, Fraction]:
+    """One GDA run under rule: its matching and the matching's exact ProS."""
+    matching, _ = run_gda(inst, rule)
+    return matching, pros_exact_2f(inst, matching).value
+
+
+_EXAMPLE_RULES = (Strategy.LOCV, Strategy.LOICV, Strategy.HEUF, Strategy.HERF)  # in reporting order
+
+
 def run_goldens(samples: int = 100_000, seed: int = 42) -> list[GoldenResult]:
     """Run every reference check; order is stable."""
     results: list[GoldenResult] = []
 
     ex1 = worked_example(1)
-    _check(results, "example1/s3-vector-c1", comparison_vector(ex1, 2, 0, range(3)))
-    _check(results, "example1/s3-vector-c2", comparison_vector(ex1, 2, 1, range(3)))
-    _check(results, "example1/s3-vector-c3", comparison_vector(ex1, 2, 2, range(3)))
-    _check(
-        results,
-        "example1/s3-expected-utilities",
-        tuple(expected_utility(ex1, 2, c) for c in range(3)),
-    )
-    locv_m, _ = run_gda(ex1, Strategy.LOCV)
-    _check(results, "example1/locv-matching", locv_m.to_ids(ex1))
-    _check(results, "example1/locv-pros", pros_exact_2f(ex1, locv_m).value)
-    loicv_m, _ = run_gda(ex1, Strategy.LOICV)
-    _check(results, "example1/loicv-matching", loicv_m.to_ids(ex1))
-    _check(results, "example1/loicv-pros", pros_exact_2f(ex1, loicv_m).value)
-    for strat, name in ((Strategy.HEUF, "example1/heuf-pros"), (Strategy.HERF, "example1/herf-pros")):
-        m, _ = run_gda(ex1, strat)
-        _check(results, name, pros_exact_2f(ex1, m).value)
+    for c in range(3):
+        _check(results, f"example1/s3-vector-c{c + 1}", comparison_vector(ex1, 2, c, range(3)))
+    _check(results, "example1/s3-expected-utilities", tuple(expected_utility(ex1, 2, c) for c in range(3)))
+    for rule in _EXAMPLE_RULES:
+        m, pros = _gda_pros(ex1, rule)
+        if rule in (Strategy.LOCV, Strategy.LOICV):
+            _check(results, f"example1/{rule.value}-matching", m.to_ids(ex1))
+        _check(results, f"example1/{rule.value}-pros", pros)
     _check(results, "example1/optimal-pros", optimal_pros(ex1).best_pros.value)
 
     ex2 = worked_example(2)
-    m, _ = run_gda(ex2, Strategy.LOCV)
-    _check(results, "example2/locv-pros", pros_exact_2f(ex2, m).value)
-    m, _ = run_gda(ex2, Strategy.LOICV)
-    _check(results, "example2/loicv-matching", m.to_ids(ex2))
-    _check(results, "example2/loicv-pros", pros_exact_2f(ex2, m).value)
-    for strat, name in ((Strategy.HEUF, "example2/heuf-pros"), (Strategy.HERF, "example2/herf-pros")):
-        m, _ = run_gda(ex2, strat)
-        _check(results, name, pros_exact_2f(ex2, m).value)
+    for rule in _EXAMPLE_RULES:
+        m, pros = _gda_pros(ex2, rule)
+        if rule is Strategy.LOICV:
+            _check(results, "example2/loicv-matching", m.to_ids(ex2))
+        _check(results, f"example2/{rule.value}-pros", pros)
 
     ex3 = worked_example(3)
     _check(results, "example3/weak-c3-c1", pr_prefers(ex3, 2, 2, 0, strict=False))
     _check(results, "example3/weak-c3-c2", pr_prefers(ex3, 2, 2, 1, strict=False))
     _check(results, "example3/top-c3", pr_top(ex3, 2, 2, range(3)))
-    for strat, name in (
-        (Strategy.LOCV, "example3/locv-pros"),
-        (Strategy.HERF, "example3/herf-pros"),
-        (Strategy.LOICV, "example3/loicv-pros"),
-        (Strategy.HEUF, "example3/heuf-pros"),
-    ):
-        m, _ = run_gda(ex3, strat)
-        _check(results, name, pros_exact_2f(ex3, m).value)
+    for rule in (Strategy.LOCV, Strategy.HERF, Strategy.LOICV, Strategy.HEUF):
+        _check(results, f"example3/{rule.value}-pros", _gda_pros(ex3, rule)[1])
 
-    vr = vanishing_ratio(_D, _E)
-    for strat in (Strategy.HEUF, Strategy.LOCV, Strategy.LOICV):
-        m, _ = run_gda(vr, strat)
-        if strat is Strategy.HEUF:
+    vr = vanishing_ratio()
+    runs = {rule: _gda_pros(vr, rule) for rule in (Strategy.HEUF, Strategy.LOCV, Strategy.LOICV)}
+    for rule, (m, pros) in runs.items():
+        if rule is Strategy.HEUF:
             _check(results, "vanishing-ratio/algorithm-matching", m.to_ids(vr))
-        _check(results, "vanishing-ratio/algorithm-pros", pros_exact_2f(vr, m).value)
+        _check(results, "vanishing-ratio/algorithm-pros", pros)
     opt = optimal_pros(vr)
     _check(results, "vanishing-ratio/optimal-matching", opt.best_matching.to_ids(vr))
     _check(results, "vanishing-ratio/optimal-pros", opt.best_pros.value)
-    alg = pros_exact_2f(vr, run_gda(vr, Strategy.LOCV)[0]).value
-    _check(results, "vanishing-ratio/ratio", alg / opt.best_pros.value)
+    _check(results, "vanishing-ratio/ratio", runs[Strategy.LOCV][1] / opt.best_pros.value)
 
-    icr = icr_conflict(_D, _E)
+    icr = icr_conflict()
     _check(results, "icr-conflict/weak-c2-c1", pr_prefers(icr, 0, 1, 0, strict=False))
     _check(results, "icr-conflict/weak-c2-c3", pr_prefers(icr, 0, 1, 2, strict=False))
     at_c2 = Matching.from_ids(icr, {"s1": "c2", "s2": "c1", "s3": "c3"})
     _check(results, "icr-conflict/pros-at-c2", pros_exact_2f(icr, at_c2).value)
     at_c1 = Matching.from_ids(icr, {"s1": "c1", "s2": "c2", "s3": "c3"})
     _check(results, "icr-conflict/pros-at-c1", pros_exact_2f(icr, at_c1).value)
-    report = audit_ic(icr, Strategy.LOICV, level="ic-r")
-    _assert_true(
-        results,
-        "icr-conflict/loicv-ic-r-clean",
-        report.ok,
-        f"{len(report.violations)} violation(s) over {report.misreports_tried} misreports",
-    )
+    _audit_clean(results, "icr-conflict/loicv-ic-r-clean", icr, Strategy.LOICV, "ic-r")
+    for rule in Strategy:
+        _audit_clean(results, f"example1/{rule.value}-ic-c-clean", ex1, rule, "ic-c")
 
-    for strat in Strategy:
-        report = audit_ic(ex1, strat, level="ic-c")
-        _assert_true(
-            results,
-            f"example1/{strat.value}-ic-c-clean",
-            report.ok,
-            f"{len(report.violations)} violation(s) over {report.misreports_tried} misreports",
-        )
-
-    ht = herf_tight(3, _HT_D, _HT_E)
-    m, _ = run_gda(ht, Strategy.HERF)
+    ht = herf_tight(3)
+    m, pros = _gda_pros(ht, Strategy.HERF)
     diag = all(m.college_of(s) == s for s in range(3))
     _assert_true(results, "herf-tight/herf-diagonal", diag, f"matching {m.to_ids(ht)}")
-    _check(results, "herf-tight/herf-pros", pros_exact_2f(ht, m).value)
+    _check(results, "herf-tight/herf-pros", pros)
     _check(results, "herf-tight/optimal-pros", optimal_pros(ht).best_pros.value)
 
     gr = golden_ratio(1, _Y, _Z)
-    positive = {
-        pros_exact_2f(gr, mm).value
-        for mm in enumerate_matchings(gr)
-        if pros_exact_2f(gr, mm).value > 0
-    }
-    _check(results, "golden-ratio/positive-pros", positive)
+    values = (pros_exact_2f(gr, mm).value for mm in enumerate_matchings(gr))
+    _check(results, "golden-ratio/positive-pros", {v for v in values if v > 0})
 
     nt = non_transitive()
     p12 = pr_prefers(nt, 0, 0, 1, strict=True, samples=samples, seed=seed)

@@ -1,6 +1,10 @@
 """Instance generators: random experiment inputs, canonical hand-built
 families with known behavior, and the uniform-equivalence rescaling.
 
+``FAMILIES`` maps each family name to its builder, and each family's
+parameters and their defaults are those of its builder's signature, written
+nowhere else.
+
 Every family fixes tie-breaking material deterministically: unspecified
 preference tails list the remaining students in ascending index order, and
 unspecified utility tails take equally spaced values below the smallest
@@ -10,6 +14,7 @@ certain).  Decimal constants are exact rationals throughout.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Union
@@ -24,11 +29,9 @@ from .model import (
     ValidationError,
     WeightDistribution,
 )
-from .prob import mean_weight
 
 __all__ = [
     "FAMILIES",
-    "FamilyParams",
     "TransformResult",
     "canonical",
     "gen_random",
@@ -45,6 +48,7 @@ F = Fraction
 
 DEFAULT_DELTA = F(1, 10)
 DEFAULT_EPS = F(1, 1000)
+HERF_TIGHT_EPS = F(1, 10**6)
 
 
 def _ids(prefix: str, count: int) -> tuple[str, ...]:
@@ -147,7 +151,7 @@ def vanishing_ratio(delta: Fraction = DEFAULT_DELTA, eps: Fraction = DEFAULT_EPS
     return _build(3, 3, prefs, utilities)
 
 
-def herf_tight(n: int, delta: Fraction = DEFAULT_DELTA, eps: Fraction = F(1, 10**6)) -> Instance:
+def herf_tight(n: int, delta: Fraction = DEFAULT_DELTA, eps: Fraction = HERF_TIGHT_EPS) -> Instance:
     """n x n family where the top-rank-probability rule settles for the
     diagonal matching with stability probability (1/n + 2eps/(n*delta))^n
     while the cyclic matching is perfectly stable.
@@ -252,53 +256,31 @@ def non_transitive() -> Instance:
 # family dispatch
 # ---------------------------------------------------------------------------
 
-FAMILIES = (
-    "example1",
-    "example2",
-    "example3",
-    "icr-conflict",
-    "vanishing-ratio",
-    "herf-tight",
-    "golden-ratio",
-    "non-transitive",
-)
+FAMILIES = {
+    "example1": lambda: worked_example(1),
+    "example2": lambda: worked_example(2),
+    "example3": lambda: worked_example(3),
+    "icr-conflict": icr_conflict,
+    "vanishing-ratio": vanishing_ratio,
+    "herf-tight": herf_tight,
+    "golden-ratio": golden_ratio,
+    "non-transitive": non_transitive,
+}
 
 
-@dataclass(frozen=True)
-class FamilyParams:
-    family: str
-    delta: Union[Fraction, None] = None
-    eps: Union[Fraction, None] = None
-    n: Union[int, None] = None
-    k: Union[int, None] = None
-    y: Union[Fraction, None] = None
-    z: Union[Fraction, None] = None
-
-
-def canonical(params: FamilyParams) -> Instance:
-    """Build the canonical instance a FamilyParams names."""
-    fam = params.family
-    if fam == "example1":
-        return worked_example(1)
-    if fam == "example2":
-        return worked_example(2)
-    if fam == "example3":
-        return worked_example(3)
-    if fam == "icr-conflict":
-        return icr_conflict(params.delta or DEFAULT_DELTA, params.eps or DEFAULT_EPS)
-    if fam == "vanishing-ratio":
-        return vanishing_ratio(params.delta or DEFAULT_DELTA, params.eps or DEFAULT_EPS)
-    if fam == "herf-tight":
-        if params.n is None:
-            raise ValidationError("herf-tight needs n")
-        return herf_tight(params.n, params.delta or DEFAULT_DELTA, params.eps or F(1, 10**6))
-    if fam == "golden-ratio":
-        if params.k is None or params.y is None or params.z is None:
-            raise ValidationError("golden-ratio needs k, y and z")
-        return golden_ratio(params.k, params.y, params.z)
-    if fam == "non-transitive":
-        return non_transitive()
-    raise ValidationError(f"unknown family: {fam!r} (choose from {', '.join(FAMILIES)})")
+def canonical(family: str, **params) -> Instance:
+    """Build the named family from the given parameters; each one left out
+    takes its builder's default.  A missing or unexpected parameter is a
+    ValidationError that names the family."""
+    builder = FAMILIES.get(family)
+    if builder is None:
+        raise ValidationError(f"unknown family: {family!r} (choose from {', '.join(FAMILIES)})")
+    signature = inspect.signature(builder)
+    try:
+        signature.bind(**params)
+    except TypeError as exc:
+        raise ValidationError(f"{family} takes ({', '.join(signature.parameters)}): {exc}") from None
+    return builder(**params)
 
 
 # ---------------------------------------------------------------------------
@@ -398,10 +380,10 @@ def reduce_to_uniform(inst: Instance, s: int) -> TransformResult:
     dist = inst.weight_dists[s]
     if isinstance(dist, DiscreteWeights):
         raise ValidationError("distribution not continuous")
-    mw = mean_weight(inst, s)
-    if abs(float(mw.below) - 0.5) > 1e-12:
+    mean1 = dist.mean[0]
+    if abs(float(dist.w1_measure(0, mean1)) - 0.5) > 1e-12:
         raise ValidationError("mean must equal the median of the first feature's weight")
-    a: Union[Fraction, float] = 1 - mw.mean[0]
+    a: Union[Fraction, float] = 1 - mean1
 
     scale1, scale2 = 2 * (1 - a), 2 * a
     if isinstance(a, float):

@@ -31,7 +31,10 @@ property in ``gda``), so her outcome is the first college of that order in
 her menu, and the strict order that ranks that college first reaches it
 too.  An improvement probability depends only on the outcome, so no
 utility-table report finds a violation that the strict orders miss.
-Misreported weight distributions are not in the space.
+Misreported weight distributions are not enumerated.  A report that also
+replaces the student's weight distribution still fixes one full order of
+hers, so the same argument covers it; the tests check this for flat,
+two-atom and integer-shape beta reports at the given samples and seed.
 
 The optimum is found by depth-first branch and bound (Land & Doig 1960).
 Students are placed in index order and each tries the options of

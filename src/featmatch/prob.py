@@ -89,8 +89,6 @@ __all__ = [
     "pr_prefers",
     "pr_top",
     "expected_utility",
-    "mean_weight",
-    "MeanWeight",
     "potential_blockers",
     "pros_exact_2f",
     "pros_exact_discrete",
@@ -273,12 +271,17 @@ def _mc_counts(inst: Instance, s: int, samples: int, seed, key: tuple, events: S
     scores, shape (rows, colleges), to one bool per row.  The draws are made
     and scored in consecutive blocks of ``MC_BLOCK`` rows, which give the same
     floats as one draw of every row, so memory does not grow with `samples`.
-    Callers check `samples` and `seed` first (``_check_mc``)."""
+    Every block is scored into the same buffer: a fresh half-megabyte scores
+    array per block lets glibc trim the heap and fault its pages in again,
+    depending on the heap layout.  Callers check `samples` and `seed` first
+    (``_check_mc``)."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
     dist, utilities = inst.weight_dists[s], inst.utilities_f64[s]
     counts = [0] * len(events)
+    buffer = np.empty((min(MC_BLOCK, samples), utilities.shape[1]))
     for start in range(0, samples, MC_BLOCK):
-        scores = sample_weights(dist, min(MC_BLOCK, samples - start), rng) @ utilities
+        rows = min(MC_BLOCK, samples - start)
+        scores = np.matmul(sample_weights(dist, rows, rng), utilities, out=buffer[:rows])
         for i, event in enumerate(events):
             counts[i] += int(np.count_nonzero(event(scores)))
     return counts
@@ -374,24 +377,6 @@ def expected_utility(inst: Instance, s: int, c: int) -> Prob:
     """E over the weight distribution of the weighted utility of college c:
     w . u(c) is linear in w, so it is the mean weight dotted with u(c)."""
     return sum(w * row[c] for w, row in zip(inst.weight_dists[s].mean, inst.utilities[s]))
-
-
-@dataclass(frozen=True)
-class MeanWeight:
-    """Componentwise weight expectation, with the two tail probabilities of
-    the first feature against its own mean when |F| = 2 (None otherwise)."""
-
-    mean: tuple
-    below: Union[Fraction, float, None]
-    above: Union[Fraction, float, None]
-
-
-def mean_weight(inst: Instance, s: int) -> MeanWeight:
-    dist = inst.weight_dists[s]
-    mean = dist.mean
-    if inst.num_features != 2:
-        return MeanWeight(mean, None, None)
-    return MeanWeight(mean, dist.w1_measure(0, mean[0]), dist.w1_measure(mean[0], 1))
 
 
 # ---------------------------------------------------------------------------

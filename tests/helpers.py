@@ -150,11 +150,13 @@ def textbook_blockers(inst: Instance, matching, s: int) -> list[int]:
     return out
 
 
-def with_report(inst: Instance, s: int, rows) -> Instance:
+def with_report(inst: Instance, s: int, rows, dist=None) -> Instance:
     """The instance with student s's utility table replaced by ``rows`` (one
-    row per feature), built and validated afresh, so no table is shared."""
+    row per feature), and her weight distribution by ``dist`` when given,
+    built and validated afresh, so no table is shared."""
     rows = tuple(tuple(row) for row in rows)
-    return replace(inst, utilities=inst.utilities[:s] + (rows,) + inst.utilities[s + 1 :])
+    dists = inst.weight_dists if dist is None else inst.weight_dists[:s] + (dist,) + inst.weight_dists[s + 1 :]
+    return replace(inst, utilities=inst.utilities[:s] + (rows,) + inst.utilities[s + 1 :], weight_dists=dists)
 
 
 def order_misreports(inst: Instance):

@@ -5,6 +5,7 @@ import re
 import sys
 import tempfile
 import time
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -191,7 +192,7 @@ def test_experiment_both_capacity_rules(tmp_path):
         assert (tmp_path / f"r-{rule}.svg").exists()
 
 
-def test_gen_family_params(tmp_path):
+def test_gen_family_params(tmp_path, capsys):
     out = tmp_path / "fam.json"
     assert main(["gen", "--family", "vanishing-ratio", "--delta", "1/10",
                  "--eps", "1/1000", "--out", str(out)]) == 0
@@ -200,6 +201,18 @@ def test_gen_family_params(tmp_path):
     assert main(["gen", "--family", "herf-tight", "--n", "4", "--delta", "1/12",
                  "--eps", "1/100000", "--out", str(out)]) == 0
     assert len(json.loads(out.read_text())["students"]) == 4
+    # a given parameter reaches the builder, so a zero is refused, not defaulted
+    refused = [
+        (["icr-conflict", "--delta", "0"], "delta and eps must be positive"),
+        (["vanishing-ratio", "--eps", "0"], "delta and eps must be positive"),
+        (["herf-tight", "--n", "3", "--eps", "0"], "eps must lie in (0, delta/2)"),
+        (["example1", "--delta", "1/5"], "example1 takes (): got an unexpected keyword argument 'delta'"),
+        (["herf-tight"], "herf-tight takes (n, delta, eps): missing a required argument: 'n'"),
+    ]
+    for argv, message in refused:
+        capsys.readouterr()
+        assert main(["gen", "--family", *argv]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_experiment_ratios_in_range():
@@ -223,6 +236,20 @@ def test_paper_check_passes(capsys):
     # exact two-feature reference values print as fractions, never floats
     line = next(l for l in out.splitlines() if "example1/locv-pros" in l)
     assert "2/11" in line and "0.18" not in line
+
+
+def test_paper_check_runs_every_reference_value():
+    # deleting a check must not leave paper-check green: every reference
+    # value is checked once, except the vanishing-ratio algorithm ProS, which
+    # is checked once for each of heuf, locv and loicv; every other check
+    # has a name of its own
+    results = goldens.run_goldens(samples=20_000)
+    names = Counter(r.name for r in results)
+    want = dict.fromkeys(goldens.EXPECTED, 1)
+    want["vanishing-ratio/algorithm-pros"] = 3
+    assert {n: names[n] for n in want} == want
+    assert all(count == 1 for n, count in names.items() if n not in want)
+    assert len(results) == 45
 
 
 def test_paper_check_flags_perturbed_expectation(capsys, monkeypatch):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from featmatch.gda import Strategy, _extend, comparison_vector, next_college, run_gda
 from featmatch.instances import gen_random, worked_example
-from featmatch.model import DiscreteWeights, Instance, Matching, UniformSimplex, ValidationError
+from featmatch.model import BetaWeights, DiscreteWeights, Instance, Matching, UniformSimplex, ValidationError
 from featmatch.oracle import _menu, approx_ratio, improvement_scan, optimal_pros
 from featmatch.prob import _facts, _factor, potential_blockers, pr_top, pros_exact, pros_exact_2f
 
@@ -309,10 +309,26 @@ def test_menu_scan_property(seed, n, m, rule, dist):
     assert improvement_scan(inst, rule, **setting) == full_rerun_scan(inst, rule, setting)
 
 
+def _report_dists(k: int, rng: np.random.Generator) -> list:
+    """Weight distributions a report may claim: the flat one, two atoms on
+    a quarter grid of the simplex and, with two features, a beta with
+    integer shapes."""
+    atoms = []
+    for _ in range(2):
+        cuts = sorted(F(int(x), 4) for x in rng.integers(0, 5, k - 1))
+        atoms.append(tuple(hi - lo for lo, hi in zip([F(0), *cuts], [*cuts, F(1)])))
+    p = F(int(rng.integers(1, 4)), 4)
+    dists = [UniformSimplex(k), DiscreteWeights(((atoms[0], p), (atoms[1], 1 - p)))]
+    if k == 2:
+        dists.append(BetaWeights(*(float(x) for x in rng.integers(1, 6, 2))))
+    return dists
+
+
 def test_utility_reports_reach_their_first_menu_college():
-    # the menu scan covers every utility-table report, ties included: the
-    # report fixes one full proposal order, and the student's outcome is the
-    # first college of that order in her menu
+    # the menu scan covers every utility-table report, ties included, and
+    # with it a misreported weight distribution: the report fixes one full
+    # proposal order, and the student's outcome is the first college of that
+    # order in her menu
     rng = np.random.default_rng(2024)
     quarters = [F(i, 4) for i in range(5)]
     for k, dist in MEMO_FAMILIES:
@@ -322,12 +338,13 @@ def test_utility_reports_reach_their_first_menu_college():
                     menu = _menu(inst, rule, s, **setting)
                     for _ in range(2):
                         rows = [[quarters[i] for i in rng.integers(0, 5, inst.m)] for _ in range(k)]
-                        altered = with_report(inst, s, rows)
-                        outcome = run_gda(altered, rule, **setting)[0].college_of(s)
-                        order = _facts(altered, s).orders[(rule, setting["samples"], setting["seed"])]
-                        while len(order) < inst.m:
-                            _extend(altered, rule, s, order, setting["samples"], setting["seed"])
-                        assert outcome == next((c for c in order if c in menu), None)
+                        for claimed in [None, *_report_dists(k, rng)]:
+                            altered = with_report(inst, s, rows, claimed)
+                            outcome = run_gda(altered, rule, **setting)[0].college_of(s)
+                            order = _facts(altered, s).orders[(rule, setting["samples"], setting["seed"])]
+                            while len(order) < inst.m:
+                                _extend(altered, rule, s, order, setting["samples"], setting["seed"])
+                            assert outcome == next((c for c in order if c in menu), None)
 
 
 HERF_FAMILIES = ["uniform_simplex", "discrete", ("beta2", 2.0, 5.0)]

@@ -4,7 +4,7 @@ import pytest
 
 from featmatch.gda import Strategy, run_gda
 from featmatch.instances import (
-    FamilyParams,
+    FAMILIES,
     canonical,
     gen_random,
     golden_ratio,
@@ -50,17 +50,35 @@ def test_gen_random_contract_and_determinism():
 
 
 def test_family_dispatch():
-    assert canonical(FamilyParams("example1")) == worked_example(1)
-    assert canonical(FamilyParams("vanishing-ratio")) == vanishing_ratio()
-    assert canonical(FamilyParams("herf-tight", n=3)) == herf_tight(3)
-    assert canonical(FamilyParams("golden-ratio", k=1, y=F(3, 10), z=F(2, 5))) == golden_ratio(
-        1, F(3, 10), F(2, 5)
-    )
-    assert canonical(FamilyParams("non-transitive")) == non_transitive()
+    assert list(FAMILIES) == [
+        "example1", "example2", "example3", "icr-conflict",
+        "vanishing-ratio", "herf-tight", "golden-ratio", "non-transitive",
+    ]
+    builders = {
+        "example1": (lambda: worked_example(1), {}),
+        "example2": (lambda: worked_example(2), {}),
+        "example3": (lambda: worked_example(3), {}),
+        "icr-conflict": (icr_conflict, dict(delta=F(1, 5), eps=F(1, 100))),
+        "vanishing-ratio": (vanishing_ratio, dict(eps=F(1, 500))),
+        "herf-tight": (herf_tight, dict(n=4, delta=F(1, 12), eps=F(1, 10**5))),
+        "golden-ratio": (golden_ratio, dict(k=1, y=F(3, 10), z=F(2, 5))),
+        "non-transitive": (non_transitive, {}),
+    }
+    assert builders.keys() == FAMILIES.keys()
+    for name, (builder, params) in builders.items():
+        assert canonical(name, **params) == builder(**params)
+    # parameters left out take the builder's defaults
+    assert canonical("vanishing-ratio") == vanishing_ratio()
+    assert canonical("herf-tight", n=3) == herf_tight(3)
     with pytest.raises(ValidationError, match="unknown family"):
-        canonical(FamilyParams("nope"))
-    with pytest.raises(ValidationError):
-        canonical(FamilyParams("herf-tight"))  # missing n
+        canonical("nope")
+    with pytest.raises(ValidationError, match="herf-tight.*missing a required argument: 'n'"):
+        canonical("herf-tight")
+    with pytest.raises(ValidationError, match="example1.*unexpected keyword argument 'delta'"):
+        canonical("example1", delta=F(1, 5))
+    # a given parameter reaches the builder, even a zero
+    with pytest.raises(ValidationError, match="delta and eps must be positive"):
+        canonical("icr-conflict", delta=F(0))
 
 
 def test_icr_conflict_structure():

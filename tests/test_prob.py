@@ -17,7 +17,6 @@ from featmatch.prob import (
     THRESHOLD_ABOVE,
     THRESHOLD_BELOW,
     expected_utility,
-    mean_weight,
     pairwise_case_2f,
     potential_blockers,
     pr_prefers,
@@ -29,7 +28,7 @@ from featmatch.prob import (
     stability_interval,
 )
 from featmatch.gda import Strategy, run_gda
-from featmatch.instances import gen_random, non_transitive, worked_example
+from featmatch.instances import gen_random, non_transitive, reduce_to_uniform, worked_example
 from featmatch.oracle import enumerate_matchings
 
 from helpers import (
@@ -441,24 +440,32 @@ def test_expected_utility_degenerate_cases():
 
 
 def test_mean_weight():
+    # the mean weight and the first feature's two tails against its mean,
+    # which reduce_to_uniform reads to check that the mean is the median
+    def tails(dist):
+        return dist.w1_measure(0, dist.mean[0]), dist.w1_measure(dist.mean[0], 1)
+
     ex1 = worked_example(1)
-    mw = mean_weight(ex1, 0)
-    assert mw.mean == (F(1, 2), F(1, 2)) and mw.below == mw.above == F(1, 2)
-    sym = with_dist(ex1, 0, BetaWeights(2.0, 2.0))
-    mws = mean_weight(sym, 0)
-    assert mws.mean[0] == pytest.approx(0.5) and mws.below == pytest.approx(mws.above)
-    skew = with_dist(ex1, 0, BetaWeights(2.0, 5.0))
-    mwk = mean_weight(skew, 0)
-    assert mwk.mean[0] == pytest.approx(2 / 7)
-    assert mwk.below != pytest.approx(mwk.above, abs=1e-3)
+    flat = ex1.weight_dists[0]
+    assert flat.mean == (F(1, 2), F(1, 2)) and tails(flat) == (F(1, 2), F(1, 2))
+    sym = BetaWeights(2.0, 2.0)
+    below, above = tails(sym)
+    assert sym.mean[0] == pytest.approx(0.5) and below == pytest.approx(above)
+    skew = BetaWeights(2.0, 5.0)
+    below, above = tails(skew)
+    assert skew.mean[0] == pytest.approx(2 / 7)
+    assert below != pytest.approx(above, abs=1e-3)
     # quadrature oracle for Pr[w <= 2/7] under Beta(2, 5)
     xs = (np.arange(1_000_000) + 0.5) / 1_000_000
     dens = xs * (1 - xs) ** 4
     want = dens[xs <= 2 / 7].sum() / dens.sum()
-    assert mwk.below == pytest.approx(want, abs=1e-5)
+    assert below == pytest.approx(want, abs=1e-5)
+    with pytest.raises(ValidationError, match="mean must equal the median"):
+        reduce_to_uniform(with_dist(ex1, 0, skew), 0)
     nt = non_transitive()
-    mw3 = mean_weight(nt, 0)
-    assert mw3.mean == (F(1, 3), F(1, 3), F(1, 3)) and mw3.below is None
+    assert nt.weight_dists[0].mean == (F(1, 3), F(1, 3), F(1, 3))
+    with pytest.raises(ValidationError, match="exactly 2 features"):
+        reduce_to_uniform(nt, 0)
 
 
 # ---------------------------------------------------------------------------
