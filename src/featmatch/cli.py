@@ -5,16 +5,18 @@ matching), optimal (exact optimum by branch and bound), audit-ic,
 experiment (random-trial ratio study with CSV + SVG box plots), paper-check
 (reference-value gate), gen (emit canonical or random instances).
 
-Exit codes: 0 ok, 1 reference-check failure, 2 input error, 3 budget
-exceeded.
+Exit codes: 0 ok, 1 reference-check failure, 2 input error or a file that
+cannot be read or written, 3 budget exceeded, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -27,7 +29,9 @@ from .model import (
     ModelError,
     ParseError,
     ProsResult,
+    ValidationError,
     format_rational,
+    parse_document,
     parse_instance,
     parse_rational,
     serialize_instance,
@@ -40,14 +44,6 @@ from .prob import (
     DEFAULT_SAMPLES, _exact_evaluator, potential_blockers, pros_exact, pros_monte_carlo, stability_interval
 )
 from .svg import render_box_plot
-
-
-def _load_instance(path: str):
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ModelError(f"cannot read instance file: {exc}") from exc
-    return parse_instance(text)
 
 
 def _emit(args, text: str) -> None:
@@ -82,7 +78,7 @@ def _pros_json(res: ProsResult) -> dict:
 
 
 def _cmd_solve(args) -> int:
-    inst = _load_instance(args.instance)
+    inst = parse_instance(Path(args.instance).read_bytes())
     matching, trace = run_gda(inst, Strategy(args.strategy), samples=args.samples, seed=args.seed)
     res = _evaluate_pros(inst, matching, args.samples, args.seed)
     blockers = {
@@ -148,14 +144,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_pros(args) -> int:
-    inst = _load_instance(args.instance)
-    try:
-        doc = json.loads(Path(args.matching).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ModelError(f"cannot read matching file: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("matching file must be a JSON object of student id -> college id or null")
-    matching = Matching.from_ids(inst, doc)
+    inst = parse_instance(Path(args.instance).read_bytes())
+    matching = Matching.from_ids(inst, parse_document(Path(args.matching).read_bytes()))
     res = _evaluate_pros(inst, matching, args.samples, args.seed, force_mc=args.mc)
     if args.format == "json":
         _emit(args, json.dumps({"matching": matching.to_ids(inst), "pros": _pros_json(res)}, indent=2))
@@ -165,7 +155,7 @@ def _cmd_pros(args) -> int:
 
 
 def _cmd_optimal(args) -> int:
-    inst = _load_instance(args.instance)
+    inst = parse_instance(Path(args.instance).read_bytes())
     opt = optimal_pros(inst, budget=args.budget)
     if args.format == "json":
         _emit(
@@ -194,7 +184,7 @@ def _cmd_optimal(args) -> int:
 
 
 def _cmd_audit_ic(args) -> int:
-    inst = _load_instance(args.instance)
+    inst = parse_instance(Path(args.instance).read_bytes())
     report = audit_ic(
         inst,
         Strategy(args.strategy),
@@ -282,6 +272,13 @@ def _cmd_experiment(args) -> int:
     if args.trials < 1 or min(sizes) < 1:
         raise ParseError("--trials and every --sizes value must be positive")
     rules = ("ones", "spread") if args.capacities == "both" else (args.capacities,)
+    outputs = {
+        rule: [_with_suffix(path, f"-{rule}" if len(rules) > 1 else "") for path in (args.out_csv, args.out_svg)]
+        for rule in rules
+    }
+    for pair in outputs.values():  # every path before the first trial, which can take seconds
+        for path in pair:
+            _check_writable(path)
     for rule in rules:
         config = ExperimentConfig(
             trials=args.trials,
@@ -292,20 +289,29 @@ def _cmd_experiment(args) -> int:
             budget=args.budget,
         )
         rows = run_experiment(config)
-        suffix = f"-{rule}" if len(rules) > 1 else ""
-        csv_path = Path(_with_suffix(args.out_csv, suffix))
+        csv_path, svg_path = outputs[rule]
         csv_path.write_text(experiment_csv(rows))
-        svg_path = Path(_with_suffix(args.out_svg, suffix))
         svg_path.write_text(experiment_svg(rows, config))
         print(f"wrote {len(rows)} rows to {csv_path} and plot to {svg_path}")
     return 0
 
 
-def _with_suffix(path: str, suffix: str) -> str:
-    if not suffix:
-        return path
+def _with_suffix(path: str, suffix: str) -> Path:
     p = Path(path)
-    return str(p.with_name(p.stem + suffix + p.suffix))
+    return p.with_name(p.stem + suffix + p.suffix) if suffix else p
+
+
+def _check_writable(path: Path) -> None:
+    """Raise the OSError that writing `path` would raise, without writing it."""
+    if path.is_dir():
+        code = errno.EISDIR
+    elif not path.parent.is_dir():
+        code = errno.ENOENT
+    elif not os.access(path if path.exists() else path.parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -324,32 +330,41 @@ def _cmd_paper_check(args) -> int:
     return 0 if failures == 0 else 1
 
 
+# gen's random-mode flags and their defaults; its family-mode flags default
+# in each family's builder
+_GEN_RANDOM = {
+    "students": 3, "colleges": 3, "features": 2, "dist": "uniform_simplex",
+    "alpha": 2.0, "beta": 2.0, "capacities": "ones", "seed": DEFAULT_SEED,
+}
+_GEN_FAMILY = ("n", "k", "delta", "eps", "y", "z")
+
+
 def _cmd_gen(args) -> int:
+    given = {name: getattr(args, name) for name in (*_GEN_FAMILY, *_GEN_RANDOM) if getattr(args, name) is not None}
+    for name in given:
+        if (name in _GEN_FAMILY) != (args.family is not None):
+            mode = "with" if name in _GEN_FAMILY else "without"
+            raise ValidationError(f"gen: --{name} applies only {mode} --family")
+        if name in ("alpha", "beta") and args.dist != "beta2":
+            raise ValidationError(f"gen: --{name} applies only with --dist beta2")
     if args.family is not None:
-        params = {}  # only the flags given, so each default stays with its builder
-        for name in ("n", "k", "delta", "eps", "y", "z"):
-            value = getattr(args, name)
-            if value is not None:
-                params[name] = value if name in ("n", "k") else parse_rational(value)
+        # only the flags given, so each default stays with its builder
+        params = {name: v if name in ("n", "k") else parse_rational(v) for name, v in given.items()}
         inst = canonical(args.family, **params)
     else:
-        dist_kind = args.dist
-        if dist_kind == "beta2":
-            dist_kind = ("beta2", args.alpha, args.beta)
+        opts = {**_GEN_RANDOM, **given}
+        dist_kind = ("beta2", opts["alpha"], opts["beta"]) if opts["dist"] == "beta2" else opts["dist"]
         inst = gen_random(
-            n=args.students,
-            m=args.colleges,
-            capacities=args.capacities,
-            num_features=args.features,
+            n=opts["students"],
+            m=opts["colleges"],
+            capacities=opts["capacities"],
+            num_features=opts["features"],
             dist_kind=dist_kind,
-            seed=args.seed,
+            seed=opts["seed"],
         )
-    text = serialize_instance(inst)
+    _emit(args, serialize_instance(inst))
     if args.out:
-        Path(args.out).write_text(text + "\n")
         print(f"wrote {args.out}")
-    else:
-        print(text)
     return 0
 
 
@@ -427,14 +442,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, help="number of triples (golden-ratio family)")
     p.add_argument("--y", help="golden-ratio family parameter in [1/5, 4/5]")
     p.add_argument("--z", help="golden-ratio family parameter in [0, 1]")
-    p.add_argument("--students", type=int, default=3)
-    p.add_argument("--colleges", type=int, default=3)
-    p.add_argument("--features", type=int, default=2)
-    p.add_argument("--dist", choices=["uniform_simplex", "discrete", "beta2"], default="uniform_simplex")
-    p.add_argument("--alpha", type=float, default=2.0)
-    p.add_argument("--beta", type=float, default=2.0)
-    p.add_argument("--capacities", default="ones", help="'ones', 'spread'")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    # random mode, defaults in _GEN_RANDOM
+    p.add_argument("--students", type=int)
+    p.add_argument("--colleges", type=int)
+    p.add_argument("--features", type=int)
+    p.add_argument("--dist", choices=["uniform_simplex", "discrete", "beta2"])
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--beta", type=float)
+    p.add_argument("--capacities", help="'ones', 'spread'")
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", help="output path (default: stdout)")
     p.set_defaults(func=_cmd_gen)
 
@@ -445,11 +461,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ModelError as exc:
+    except BrokenPipeError:
+        # stdout's reader is gone: exit as a shell reports SIGPIPE (128 + 13)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    except (ModelError, OSError) as exc:  # OSError: any file read or write
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

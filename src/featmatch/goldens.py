@@ -68,7 +68,10 @@ EXPECTED = {
     "example3/herf-pros": F(8, 17),
     "example3/loicv-pros": F(9, 17),
     "example3/heuf-pros": F(9, 17),
-    "vanishing-ratio/algorithm-pros": _E * (_D + 2 * _E) / ((_D + _E) * (_D + 3 * _E)),
+    **{
+        f"vanishing-ratio/{rule}-pros": _E * (_D + 2 * _E) / ((_D + _E) * (_D + 3 * _E))
+        for rule in ("heuf", "locv", "loicv")
+    },
     "vanishing-ratio/algorithm-matching": {"s1": "c3", "s2": "c2", "s3": "c1"},
     "vanishing-ratio/optimal-pros": (_D + 2 * _E) / (2 * _D + 6 * _E),
     "vanishing-ratio/optimal-matching": {"s1": "c3", "s2": "c1", "s3": "c2"},
@@ -153,7 +156,7 @@ def run_goldens(samples: int = 100_000, seed: int = 42) -> list[GoldenResult]:
     for rule, (m, pros) in runs.items():
         if rule is Strategy.HEUF:
             _check(results, "vanishing-ratio/algorithm-matching", m.to_ids(vr))
-        _check(results, "vanishing-ratio/algorithm-pros", pros)
+        _check(results, f"vanishing-ratio/{rule.value}-pros", pros)
     opt = optimal_pros(vr)
     _check(results, "vanishing-ratio/optimal-matching", opt.best_matching.to_ids(vr))
     _check(results, "vanishing-ratio/optimal-pros", opt.best_pros.value)

@@ -334,6 +334,8 @@ def gen_random(
     Deterministic in the seed."""
     if n < 1 or m < 1:
         raise ValidationError("need at least one student and one college")
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(n, m)))
     prefs = tuple(tuple(int(s) for s in rng.permutation(n)) for _ in range(m))
     utilities = tuple(

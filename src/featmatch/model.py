@@ -41,6 +41,7 @@ __all__ = [
     "format_rational",
     "integer_matrix",
     "integer_matmul",
+    "parse_document",
     "parse_instance",
     "serialize_instance",
     "instance_from_dict",
@@ -745,19 +746,24 @@ def instance_to_dict(inst: Instance) -> dict:
     }
 
 
-def parse_instance(text: str) -> Instance:
-    """Parse the JSON instance format; raises ParseError/ValidationError."""
+def parse_document(text: Union[str, bytes]) -> dict:
+    """The JSON object in `text`, a str or bytes in any encoding json.loads detects; raises ParseError."""
     try:
         doc = json.loads(text)
     except RecursionError:
         raise ParseError("malformed document: nested too deeply") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"malformed document: {exc}") from exc
     except ValueError as exc:  # an integer past the int-to-str digit limit
         raise ParseError(f"malformed document: an integer has more than {sys.get_int_max_str_digits()} digits") from exc
     if not isinstance(doc, dict):
         raise ParseError("malformed document: top level must be an object")
-    return instance_from_dict(doc)
+    return doc
+
+
+def parse_instance(text: Union[str, bytes]) -> Instance:
+    """Parse the JSON instance format; raises ParseError/ValidationError."""
+    return instance_from_dict(parse_document(text))
 
 
 def serialize_instance(inst: Instance, indent: Union[int, None] = 2) -> str:

@@ -286,6 +286,8 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
     """One row per (size, trial, strategy); deterministic in config.seed.
     Trials draw their generator seed from (master seed, size, trial index),
     so any parallel split over trials would reproduce the serial result."""
+    if config.seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {config.seed}")
     rows = []
     for size in config.sizes:
         for trial in range(config.trials):

@@ -258,6 +258,8 @@ def sample_weights(dist: WeightDistribution, k: int, rng: np.random.Generator) -
 def _check_mc(samples: int, seed) -> None:
     if seed is None:
         raise ValidationError("Monte Carlo path requires an explicit seed")
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
     if samples < 1:
         raise ValidationError("sample count must be positive")
 
